@@ -255,12 +255,12 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
 DEFAULT_CONFIG = BoundConfig(
     psi=1.0,
     K=1.0,
-    C_main=0.5430353564701065,
+    C_main=0.5430353564701124,
     c_prob=0.35,
-    C1=1.7975005248429692,
-    C2=0.655372262627907,
-    C3=138.31678293831362,
-    C_old=0.655372262627907,
+    C1=1.797500524842805,
+    C2=0.6553722626278761,
+    C3=138.31678293830709,
+    C_old=0.6553722626278761,
     t=1.0,
 )
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bounds, rng, statistics
 from .bounds import BoundConfig
-from .errors import ContractError, RegimeError
+from .errors import ContractError, NumericalError, RegimeError
 from .linalg import DeviationReport, operator_deviation
 from .sampler import EnsembleSpec, parse_family_token, sample_ensemble
 
@@ -243,18 +243,22 @@ class Remark2Check:
         }
 
 
-def _trial_report(token: str, n: int, N: int, seed: int) -> DeviationReport:
-    """One full trial: sample the ensemble, measure the spectral deviation."""
-    family, p = parse_family_token(token)
-    spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
-    return operator_deviation(sample_ensemble(spec))
+def _trial_report(ci: int, ti: int, token: str, n: int, N: int, seed: int) -> tuple[DeviationReport, float | None]:
+    """One full trial: sample the ensemble and measure its spectral deviation.
+    Trial 0 of each cell also measures the cell's empirical psi_1 constant on
+    the same matrix; other trials return None for it.
 
-
-def _cell_matrix(grid: ExperimentGrid, cell_index: int, trial_index: int):
-    token, n, N = grid.cells[cell_index]
-    family, p = parse_family_token(token)
-    seed = derive_seed(grid.master_seed, cell_index, trial_index)
-    return sample_ensemble(EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p))
+    A failure is re-raised as its nearest base error class, naming the cell
+    and trial: a subclass may take other constructor arguments, and a pool
+    worker's exception is rebuilt in the parent from its message alone."""
+    try:
+        family, p = parse_family_token(token)
+        A = sample_ensemble(EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p))
+        psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS) if ti == 0 else None
+        return operator_deviation(A), psi_hat
+    except (ContractError, RuntimeError) as exc:
+        base = next(cls for cls in (ContractError, NumericalError, RuntimeError) if isinstance(exc, cls))
+        raise base(f"cell {ci} trial {ti}: {exc}") from exc
 
 
 def summarize_reports(
@@ -284,44 +288,30 @@ def summarize_reports(
     )
 
 
-def _collect_reports(grid: ExperimentGrid, cell_indices: list[int], workers: int):
-    """Run every (cell, trial) job and return reports keyed by cell index,
-    canonically ordered by trial index regardless of schedule."""
+def _run_cells(grid: ExperimentGrid, cell_indices: list[int], workers: int) -> list[CellResult]:
+    """Run every (cell, trial) job in one flat pool and summarize each cell.
+    Reports are canonically ordered by trial index regardless of schedule,
+    and psi_hat is the one measured by each cell's trial-0 job."""
     T = grid.trials_per_cell
     jobs = [
-        (ci, ti, grid.cells[ci], derive_seed(grid.master_seed, ci, ti))
+        (ci, ti, *grid.cells[ci], derive_seed(grid.master_seed, ci, ti))
         for ci in cell_indices
         for ti in range(T)
     ]
-    flat: list[DeviationReport] = []
     if workers <= 1 or len(jobs) == 1:
-        for ci, ti, (token, n, N), seed in jobs:
-            try:
-                flat.append(_trial_report(token, n, N, seed))
-            except (ContractError, RuntimeError) as exc:
-                raise type(exc)(f"cell {ci} trial {ti}: {exc}") from exc
+        flat = [_trial_report(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 4))
-            args = list(zip(*[(token, n, N, seed) for _, _, (token, n, N), seed in jobs]))
-            results = pool.map(_trial_report, *args, chunksize=chunk)
-            it = iter(results)
-            for ci, ti, _, _ in jobs:
-                try:
-                    flat.append(next(it))
-                except (ContractError, RuntimeError) as exc:
-                    raise type(exc)(f"cell {ci} trial {ti}: {exc}") from exc
-    grouped: dict[int, list[DeviationReport]] = {ci: [] for ci in cell_indices}
-    for (ci, _, _, _), rep in zip(jobs, flat):
-        grouped[ci].append(rep)
-    return {ci: tuple(reps) for ci, reps in grouped.items()}
-
-
-def _build_result(grid: ExperimentGrid, ci: int, reports: tuple[DeviationReport, ...]) -> CellResult:
-    A0 = _cell_matrix(grid, ci, 0)
-    psi_hat = statistics.psi1_ensemble(A0, PSI_PROBE_DIRECTIONS)
-    summary = summarize_reports(grid.cells[ci], reports, psi_hat, grid.bound_config)
-    return CellResult(cell=grid.cells[ci], reports=reports, summary=summary)
+            flat = list(pool.map(_trial_report, *zip(*jobs), chunksize=chunk))
+    results = []
+    for k, ci in enumerate(cell_indices):
+        cell_jobs = flat[k * T : (k + 1) * T]
+        reports = tuple(rep for rep, _ in cell_jobs)
+        psi_hat = cell_jobs[0][1]
+        summary = summarize_reports(grid.cells[ci], reports, psi_hat, grid.bound_config)
+        results.append(CellResult(cell=grid.cells[ci], reports=reports, summary=summary))
+    return results
 
 
 def run_cell(grid: ExperimentGrid, cell_index: int, workers: int = 1) -> CellResult:
@@ -329,15 +319,12 @@ def run_cell(grid: ExperimentGrid, cell_index: int, workers: int = 1) -> CellRes
     and the index, independent of worker count."""
     if not 0 <= cell_index < len(grid.cells):
         raise ContractError(f"cell_index {cell_index} out of range for {len(grid.cells)} cells")
-    reports = _collect_reports(grid, [cell_index], workers)[cell_index]
-    return _build_result(grid, cell_index, reports)
+    return _run_cells(grid, [cell_index], workers)[0]
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Run every cell; one flat trial pool, results in cell order."""
-    indices = list(range(len(grid.cells)))
-    by_cell = _collect_reports(grid, indices, workers)
-    return [_build_result(grid, ci, by_cell[ci]) for ci in indices]
+    return _run_cells(grid, list(range(len(grid.cells))), workers)
 
 
 def scaling_fit(results: list[CellResult]) -> ScalingFit:

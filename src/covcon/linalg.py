@@ -2,14 +2,19 @@
 
 The deviation of interest is ||A A^T / N - I|| (operator norm).  For an
 isotropic ensemble this equals sup over unit x of |(1/N) sum <X_i, x>^2 - 1|,
-and both are computed here through one eigendecomposition of the Gram matrix
-on the cheaper side: A A^T (n x n) when n <= N, A^T A (N x N) otherwise, with
-eigenvalues transported (A A^T then has n - N extra zeros).
+and both are read off the extremal eigenvalues of the Gram matrix on the
+cheaper side: A A^T (n x n) when n <= N, A^T A (N x N) otherwise, with
+eigenvalues transported (A A^T then has n - N extra zeros).  Only those two
+eigenvalues are needed, so the measurement path calls LAPACK's symmetric
+eigenvalue routine (numpy.linalg.eigvalsh) and builds no eigenvectors.
 
-The eigensolver is a threshold cyclic Jacobi iteration: quadratically
-convergent, dependency-free, and with directly assertable accuracy
-invariants (orthogonality, reconstruction, trace).  Desk scale (dim <= 512)
-makes the O(dim^3)-per-sweep cost acceptable.
+sym_eigen, a threshold cyclic Jacobi iteration, is the reference
+eigensolver: quadratically convergent, dependency-free, and with directly
+assertable accuracy invariants (orthogonality, reconstruction, trace).  It
+computes small eigenvalues to high relative accuracy (Demmel & Veselic,
+"Jacobi's method is more accurate than QR", SIAM J. Matrix Anal. Appl. 1992),
+which is why the tests check the LAPACK path against it.  Its
+O(dim^3)-per-sweep Python loop is meant for desk scale (dim <= 512).
 """
 
 from __future__ import annotations
@@ -210,6 +215,18 @@ def boundedness_ratio(n: int, N: int, max_col_norm: float) -> float:
     return max_col_norm / np.sqrt(n) / max(1.0, (N / n) ** 0.25)
 
 
+def _extremal_eigenvalues(gram: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a finite symmetric matrix (LAPACK
+    reads its lower triangle)."""
+    if not np.isfinite(gram).all():
+        raise ContractError("matrix entries contain non-finite values")
+    try:
+        w = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    return float(w[0]), float(w[-1])
+
+
 def operator_deviation(A: SampleMatrix) -> DeviationReport:
     """Extremal eigenvalues of A A^T and the covariance deviation, in one pass.
 
@@ -220,15 +237,12 @@ def operator_deviation(A: SampleMatrix) -> DeviationReport:
     n, N = A.n, A.N
     e = A.entries
     if N >= n:
-        spectrum = sym_eigen(gram_covariance(A))
-        scaled = spectrum.eigenvalues  # eigenvalues of A A^T / N
-        lam_min_scaled = max(float(scaled[0]), 0.0)
-        lam_max_scaled = max(float(scaled[-1]), 0.0)
+        lo, hi = _extremal_eigenvalues((e @ e.T) / N)
+        lam_min_scaled = max(lo, 0.0)
     else:
-        small = SymMatrix.from_full((e.T @ e) / N)
-        spectrum = sym_eigen(small)
+        _, hi = _extremal_eigenvalues((e.T @ e) / N)
         lam_min_scaled = 0.0
-        lam_max_scaled = max(float(spectrum.eigenvalues[-1]), 0.0)
+    lam_max_scaled = max(hi, 0.0)
     deviation = max(abs(lam_max_scaled - 1.0), abs(lam_min_scaled - 1.0))
     max_col = A.max_column_norm()
     return DeviationReport(
@@ -246,6 +260,5 @@ def operator_deviation(A: SampleMatrix) -> DeviationReport:
 def matrix_norm(A: SampleMatrix) -> float:
     """Largest singular value of A, via the smaller of the two Gram matrices."""
     e = A.entries
-    gram = e @ e.T if A.n <= A.N else e.T @ e
-    spectrum = sym_eigen(SymMatrix.from_full(gram))
-    return float(np.sqrt(max(float(spectrum.eigenvalues[-1]), 0.0)))
+    _, top = _extremal_eigenvalues(e @ e.T if A.n <= A.N else e.T @ e)
+    return float(np.sqrt(max(top, 0.0)))

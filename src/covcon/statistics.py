@@ -11,10 +11,13 @@ psi_1 (sub-exponential Orlicz) norm of a scalar Y:
 
     ||Y||_{psi_1} = inf{ C > 0 : E exp(|Y|/C) <= 2 }.
 
-The empirical version replaces E by the sample mean; the mean is monotone
-decreasing and continuous in C, so the infimum is found by bisection in
-log-sum-exp space.  Finite-sample estimates are downward biased (they see no
-tail beyond the sample); treat them as lower bounds and report sample sizes.
+The empirical version replaces E by the mean over T samples Y_j, and the
+infimum is the root of g(s) = logsumexp_j(|Y_j| s) - ln(2T) in s = 1/C.  g is
+convex and increasing, so Newton's method started to the right of the root
+converges monotonically; each step also brackets the root (tangent root
+above, chord root below).  Finite-sample estimates are downward biased (they
+see no tail beyond the sample); treat them as lower bounds and report sample
+sizes.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import logsumexp, ndtr
-from scipy.stats import qmc
 
 from . import rng
 from .errors import (
@@ -57,13 +58,14 @@ __all__ = [
 #: Subset budget for exact sparse-norm enumeration.
 EXACT_ENUMERATION_BUDGET = 1_000_000
 
-_BISECT_REL_TOL = 1e-13
-_BISECT_MAX_ITER = 110
+#: Relative width of the psi_1 bracket at which the root search stops.
+_PSI1_REL_TOL = 1e-13
+_PSI1_MAX_ITER = 110
 
 
 @dataclass(frozen=True)
 class Psi1Estimate:
-    """Empirical psi_1 norm with its terminal bisection bracket."""
+    """Empirical psi_1 norm with its terminal root bracket."""
 
     value: float
     sample_size: int
@@ -145,13 +147,12 @@ class SphereNet:
 # --- psi_1 estimation --------------------------------------------------------
 
 
-def _psi1_bisect_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise empirical psi_1 values for a (d, T) array.
 
-    Solves mean_j exp(|a_ij|/C_i) = 2 per row, i.e. logsumexp(|a_i|/C) =
-    ln(2T), by bisection on the bracket [amax/ln(2T), amax/ln 2] (the mean is
-    >= 2 at the left end and <= 2 at the right end).  Returns (values, lo, hi);
-    all-zero rows get value 0 with a degenerate bracket.
+    Solves mean_j exp(|a_ij| s) = 2 per row for s = 1/C (see the module
+    docstring).  Returns (values, lo, hi) in C; all-zero rows get value 0
+    with a degenerate bracket.
     """
     a = np.abs(np.asarray(arr, dtype=np.float64))
     if a.ndim != 2 or a.shape[1] == 0:
@@ -161,22 +162,59 @@ def _psi1_bisect_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     d, T = a.shape
     amax = a.max(axis=1)
     zero = amax == 0.0
-    target = math.log(2.0 * T)
-    lo = amax / target
-    hi = amax / math.log(2.0)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        mid_safe = np.where(mid > 0.0, mid, 1.0)
-        g = logsumexp(a / mid_safe[:, None], axis=1) - target
-        ok = g <= 0.0
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-        if np.all(hi - lo <= _BISECT_REL_TOL * np.maximum(1.0, hi)):
+    lo = np.zeros(d)
+    hi = np.zeros(d)
+    live = np.flatnonzero(~zero)
+    if live.size:
+        lo[live], hi[live] = _psi1_newton(a if live.size == d else a[live], amax[live], math.log(2.0 * T))
+    return 0.5 * (lo + hi), lo, hi
+
+
+def _psi1_newton(a: np.ndarray, amax: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket [lo, hi] in C of the root of g(s) = logsumexp(a s) - target,
+    per row of a nonnegative array whose rows each have a positive entry.
+
+    Newton starts at s = target/amax, where the largest term alone makes
+    g >= 0.  g is convex and increasing with g(0) = -ln 2, so every tangent
+    root lies at or above the root and the chord root between a point with
+    g <= 0 and one with g >= 0 lies at or below it.  A row stops once that
+    bracket, mapped to C, is relatively narrower than _PSI1_REL_TOL, and is
+    not updated after; one log-sum-exp per step.
+    """
+    rows = a.shape[0]
+    s_left = np.zeros(rows)  # g(s_left) <= 0
+    g_left = np.full(rows, -math.log(2.0))
+    s_right = target / amax  # g(s_right) >= 0; evaluated first
+    g_right = np.zeros(rows)
+    s = s_right
+    lo = np.zeros(rows)
+    hi = np.zeros(rows)
+    active = np.ones(rows, dtype=bool)
+    for _ in range(_PSI1_MAX_ITER):
+        x = a * s[:, None]
+        lse = logsumexp(x, axis=1)
+        g = lse - target
+        x -= lse[:, None]
+        slope = np.einsum("ij,ij->i", a, np.exp(x, out=x))  # g'(s) > 0
+        right = g >= 0.0
+        s_left, g_left = np.where(right, s_left, s), np.where(right, g_left, g)
+        s_right, g_right = np.where(right, s, s_right), np.where(right, g, g_right)
+        upper = np.minimum(s - g / slope, s_right)
+        rise = g_right - g_left
+        safe = np.where(rise > 0.0, rise, 1.0)
+        lower = np.where(rise > 0.0, s_left - g_left * (s_right - s_left) / safe, s_right)
+        # Both ends are exact bounds in exact arithmetic; rounding near the
+        # root can cross them, which closes the bracket.
+        lower = np.minimum(lower, upper)
+        lo = np.where(active, 1.0 / upper, lo)
+        hi = np.where(active, 1.0 / lower, hi)
+        active &= ~(hi - lo <= _PSI1_REL_TOL * np.maximum(1.0, hi))
+        if not active.any():
             break
-    value = np.where(zero, 0.0, 0.5 * (lo + hi))
-    lo = np.where(zero, 0.0, lo)
-    hi = np.where(zero, 0.0, hi)
-    return value, lo, hi
+        # Newton steps from the right; a tangent from a point left of the
+        # root can land beyond the known right end, so bisect instead.
+        s = np.where(upper < s_right, upper, 0.5 * (lower + upper))
+    return lo, hi
 
 
 def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:
@@ -184,7 +222,7 @@ def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:
     a = np.asarray(samples, dtype=np.float64).ravel()
     if a.size == 0:
         raise ContractError("psi1_estimate requires a nonempty sample")
-    value, lo, hi = _psi1_bisect_rows(a[None, :])
+    value, lo, hi = _psi1_rows(a[None, :])
     return Psi1Estimate(
         value=float(value[0]),
         sample_size=int(a.size),
@@ -214,7 +252,7 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     if directions > 0:
         probes = np.vstack([probes, probe_directions(A.n, directions, A.seed)])
     proj = probes @ A.entries
-    values, _, _ = _psi1_bisect_rows(proj)
+    values, _, _ = _psi1_rows(proj)
     return float(values.max())
 
 
@@ -400,6 +438,8 @@ def _ball_tail_excess(B: float, n: int) -> float:
     def density(t: float) -> float:
         return (max(1.0 - (t / r) ** 2, 0.0)) ** half
 
+    from scipy.integrate import quad
+
     num, _ = quad(lambda t: (t * t - B * B) * density(t), B, r, limit=200)
     den, _ = quad(density, 0.0, r, limit=200)
     return num / den
@@ -542,6 +582,7 @@ def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
     if n == 1:
         return np.array([[1.0], [-1.0]])
     from scipy.special import ndtri
+    from scipy.stats import qmc
 
     engine = qmc.Sobol(d=n, scramble=False)
     u = engine.random_base2(_SOBOL_LOG2_COUNT[n])

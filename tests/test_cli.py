@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -317,6 +319,15 @@ def test_render_plot_svg_is_pure(small_run):
 
 
 # --- exit codes --------------------------------------------------------------
+
+
+def test_cli_import_defers_qmc_and_quad():
+    # scipy.stats (for qmc.Sobol) and scipy.integrate (for quad) load on the
+    # first net or ball-tail call, not at start-up.
+    code = "import sys, covcon.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_code_validation_errors(tmp_path):

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from covcon import rng
+from covcon import experiments, rng
 from covcon.bounds import DEFAULT_CONFIG, BoundConfig, main_probability_budget, theorem1_rhs
-from covcon.errors import ContractError, RegimeError
+from covcon.errors import ContractError, NumericalError, RegimeError, ResourceError
 from covcon.experiments import (
     CALIBRATION_MASTER_SEED,
     VERIFICATION_MASTER_SEED,
@@ -133,6 +133,48 @@ def test_run_cell_is_reproducible():
 def test_worker_count_does_not_change_results():
     grid = _grid([("gaussian", 3, 24), ("exponential_product", 3, 24)], trials=8)
     assert run_grid(grid, workers=1) == run_grid(grid, workers=3)
+
+
+def test_each_trial_samples_once(monkeypatch):
+    # psi_hat comes from the trial-0 job's own matrix, not a second draw.
+    grid = _grid([("gaussian", 3, 24), ("euclidean_ball", 3, 24)], trials=4)
+    drawn = []
+    sample = experiments.sample_ensemble
+    monkeypatch.setattr(experiments, "sample_ensemble", lambda spec: drawn.append(spec.seed) or sample(spec))
+    results = run_grid(grid)
+    assert sorted(drawn) == sorted(r.seed for res in results for r in res.reports)
+
+
+class _CodedNumericalError(NumericalError):
+    def __init__(self, code, detail):
+        super().__init__(f"[{code}] {detail}")
+
+
+class _SizedResourceError(ResourceError):
+    def __init__(self, size, limit):
+        super().__init__(f"{size} > {limit}")
+
+
+@pytest.mark.parametrize(
+    "error, base",
+    [(_CodedNumericalError(7, "no convergence"), NumericalError), (_SizedResourceError(9, 8), ContractError)],
+)
+def test_trial_failure_names_cell_and_trial(monkeypatch, error, base):
+    # Error types whose constructors take other arguments are re-raised as
+    # their covcon base class, with the original chained.
+    grid = _grid([("gaussian", 3, 24), ("gaussian", 3, 48)], trials=3)
+    real = experiments.operator_deviation
+
+    def fail_cell_1_trial_2(A):
+        if A.seed == derive_seed(grid.master_seed, 1, 2):
+            raise error
+        return real(A)
+
+    monkeypatch.setattr(experiments, "operator_deviation", fail_cell_1_trial_2)
+    with pytest.raises(base, match=r"cell 1 trial 2: ") as info:
+        run_grid(grid)
+    assert type(info.value) is base
+    assert info.value.__cause__ is error
 
 
 def test_summary_recomputable_from_reports():

@@ -1,10 +1,14 @@
-"""Jacobi eigensolver and deviation measurements, checked against oracles."""
+"""Jacobi eigensolver and deviation measurements, checked against oracles.
+
+The deviation path reads its extremal eigenvalues from LAPACK; the Jacobi
+solver is the reference it is cross-checked against."""
 
 import math
 
 import numpy as np
 import pytest
 
+from covcon import cli
 from covcon.errors import ContractError, NumericalError
 from covcon.linalg import (
     SymMatrix,
@@ -14,7 +18,7 @@ from covcon.linalg import (
     operator_deviation,
     sym_eigen,
 )
-from covcon.sampler import EnsembleSpec, SampleMatrix, sample_ensemble
+from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble, save_matrix
 
 
 def _spectrum_of(full):
@@ -174,6 +178,52 @@ def test_deviation_wide_regime():
     assert rep.lambda_min == 0.0
     assert rep.deviation >= 1.0
     assert math.isclose(math.sqrt(rep.lambda_max), matrix_norm(A), rel_tol=1e-10)
+
+
+def _oracle_extremes(A):
+    """(lambda_min, lambda_max, ||G||) of G = A A^T / N by Jacobi."""
+    lam = sym_eigen(gram_covariance(A)).eigenvalues
+    return float(lam[0]), float(lam[-1]), float(np.abs(lam).max())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lapack_extremes_match_jacobi_oracle(family):
+    p = 3.0 if family == "lp_ball" else None
+    shapes = [(n, N) for n in (16, 32, 64) for N in (256, 1024, 4096)] + [(24, 8)]
+    for k, (n, N) in enumerate(shapes):
+        A = sample_ensemble(EnsembleSpec(family, n, N, 900 + k, p))
+        rep = operator_deviation(A)
+        lo, hi, norm = _oracle_extremes(A)
+        # A wide cell's n x n Gram has rank N < n: Jacobi finds, to
+        # rounding, the zero that the small-side path reports exactly.
+        assert abs(rep.lambda_min / N - lo) <= 1e-12 * norm, (n, N)
+        assert abs(rep.lambda_max / N - hi) <= 1e-12 * norm, (n, N)
+
+
+def test_deviation_rejects_overflowing_gram():
+    A = SampleMatrix(entries=np.full((2, 3), 1e200), spec=None)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ContractError, match="non-finite"):
+            operator_deviation(A)
+        with pytest.raises(ContractError, match="non-finite"):
+            matrix_norm(A)
+
+
+def test_lapack_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    A = sample_ensemble(EnsembleSpec("gaussian", 3, 8, 1))
+    path = tmp_path / "m.bin"
+    save_matrix(A, path)
+
+    def no_convergence(_gram):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalError, match="did not converge"):
+        operator_deviation(A)
+    with pytest.raises(NumericalError):
+        matrix_norm(A)
+    assert cli.main(["deviation", "--matrix", str(path)]) == 4
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_lambda_max_monotone_in_columns():

@@ -89,6 +89,41 @@ def test_psi1_ensemble_gaussian_band():
         psi1_ensemble(A, -1)
 
 
+def _psi1_bisection_rows(proj):
+    """Reference: row-wise bisection on mean exp(|a|/C) = 2 over the bracket
+    [amax/ln(2T), amax/ln 2], run to full double precision."""
+    a = np.abs(proj)
+    amax = a.max(axis=1)
+    lo = amax / math.log(2.0 * a.shape[1])
+    hi = amax / math.log(2.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        ok = np.mean(np.exp(a / mid[:, None]), axis=1) <= 2.0
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "euclidean_ball", "exponential_product"])
+def test_psi1_newton_matches_bisection(family, monkeypatch):
+    A = sample_ensemble(EnsembleSpec(family, 16, 8192, 21))
+    probes = np.vstack([np.eye(16), probe_directions(16, 16, A.seed)])
+    reference = _psi1_bisection_rows(probes @ A.entries)
+    calls = []
+    lse = statistics.logsumexp
+    monkeypatch.setattr(statistics, "logsumexp", lambda *a, **k: calls.append(1) or lse(*a, **k))
+    value = psi1_ensemble(A, 16)
+    # One log-sum-exp per Newton step, against 46 bisection steps before.
+    assert len(calls) <= 10
+    assert math.isclose(value, float(reference.max()), rel_tol=1e-12)
+    for row, ref in zip(probes @ A.entries, reference):
+        est = psi1_estimate(row)
+        assert math.isclose(est.value, ref, rel_tol=1e-12)
+        lo, hi = est.bracket
+        # The bracket holds up to the rounding of g near ln(2T), ~1e-15.
+        assert lo * (1.0 - 1e-14) <= ref <= hi * (1.0 + 1e-14)
+        assert hi - lo <= 1e-13 * max(1.0, hi)
+
+
 def test_probe_directions_unit_and_deterministic():
     p = probe_directions(5, 40, 123)
     assert p.shape == (40, 5)
