@@ -151,7 +151,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def resolve_workers(parallelism: int | str) -> int:
-    """COVCON_THREADS overrides the configured parallelism when set."""
+    """COVCON_THREADS overrides the configured parallelism when set; "auto"
+    is the number of CPUs this process may run on."""
     env = os.environ.get("COVCON_THREADS")
     if env is not None:
         try:
@@ -162,6 +163,8 @@ def resolve_workers(parallelism: int | str) -> int:
             raise ConfigError(f"COVCON_THREADS must be >= 1, got {workers}")
         return workers
     if parallelism == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return int(parallelism)
 

@@ -215,6 +215,13 @@ def boundedness_ratio(n: int, N: int, max_col_norm: float) -> float:
     return max_col_norm / np.sqrt(n) / max(1.0, (N / n) ** 0.25)
 
 
+def _small_gram(e: np.ndarray) -> np.ndarray:
+    """e e^T when e has no more rows than columns, else e^T e.  Overflow is
+    left as inf, which _extremal_eigenvalues rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return e @ e.T if e.shape[0] <= e.shape[1] else e.T @ e
+
+
 def _extremal_eigenvalues(gram: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a finite symmetric matrix (LAPACK
     reads its lower triangle)."""
@@ -235,13 +242,8 @@ def operator_deviation(A: SampleMatrix) -> DeviationReport:
     decomposed.
     """
     n, N = A.n, A.N
-    e = A.entries
-    if N >= n:
-        lo, hi = _extremal_eigenvalues((e @ e.T) / N)
-        lam_min_scaled = max(lo, 0.0)
-    else:
-        _, hi = _extremal_eigenvalues((e.T @ e) / N)
-        lam_min_scaled = 0.0
+    lo, hi = _extremal_eigenvalues(_small_gram(A.entries) / N)
+    lam_min_scaled = max(lo, 0.0) if N >= n else 0.0
     lam_max_scaled = max(hi, 0.0)
     deviation = max(abs(lam_max_scaled - 1.0), abs(lam_min_scaled - 1.0))
     max_col = A.max_column_norm()
@@ -259,6 +261,5 @@ def operator_deviation(A: SampleMatrix) -> DeviationReport:
 
 def matrix_norm(A: SampleMatrix) -> float:
     """Largest singular value of A, via the smaller of the two Gram matrices."""
-    e = A.entries
-    _, top = _extremal_eigenvalues(e @ e.T if A.n <= A.N else e.T @ e)
+    _, top = _extremal_eigenvalues(_small_gram(A.entries))
     return float(np.sqrt(max(top, 0.0)))

@@ -62,6 +62,11 @@ EXACT_ENUMERATION_BUDGET = 1_000_000
 _PSI1_REL_TOL = 1e-13
 _PSI1_MAX_ITER = 110
 
+#: Truncated power iteration for greedy sparse norms: starting vectors and
+#: power steps per start.
+_POWER_STARTS = 256
+_POWER_ITERS = 60
+
 
 @dataclass(frozen=True)
 class Psi1Estimate:
@@ -208,7 +213,7 @@ def _psi1_newton(a: np.ndarray, amax: np.ndarray, target: float) -> tuple[np.nda
         lower = np.minimum(lower, upper)
         lo = np.where(active, 1.0 / upper, lo)
         hi = np.where(active, 1.0 / lower, hi)
-        active &= ~(hi - lo <= _PSI1_REL_TOL * np.maximum(1.0, hi))
+        active &= ~(hi - lo <= _PSI1_REL_TOL * hi)
         if not active.any():
             break
         # Newton steps from the right; a tangent from a point left of the
@@ -307,11 +312,13 @@ def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]
     return float(np.sqrt(max(best, 0.0))), best_support
 
 
-def _thresholded_power(e: np.ndarray, m: int, seed: int, starts: int = 64, iters: int = 60) -> float:
-    """Lower bound on A_m by power iteration with hard thresholding to m
-    coordinates, from `starts` deterministic pseudo-random starting vectors."""
+def _thresholded_power(e: np.ndarray, m: int, seed: int) -> float:
+    """Lower bound on A_m by truncated power iteration (Yuan & Zhang, JMLR
+    2013): power steps on e^T e, each followed by hard thresholding to the m
+    largest coordinates, from _POWER_STARTS deterministic pseudo-random
+    starting vectors (start k is TAG_SEARCH stream k)."""
     n, N = e.shape
-    z, _ = rng.normal_columns(seed, np.arange(starts, dtype=np.uint64), rng.TAG_SEARCH, N)
+    z, _ = rng.normal_columns(seed, np.arange(_POWER_STARTS, dtype=np.uint64), rng.TAG_SEARCH, N)
     z = np.ascontiguousarray(z.T)  # (N, starts)
 
     def project(w: np.ndarray) -> np.ndarray:
@@ -324,58 +331,39 @@ def _thresholded_power(e: np.ndarray, m: int, seed: int, starts: int = 64, iters
         return w / norms
 
     z = project(z)
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         z = project(e.T @ (e @ z))
     return float(np.linalg.norm(e @ z, axis=0).max())
 
 
-def _greedy_growth(e: np.ndarray, m: int) -> float:
-    """Lower bound on A_m by greedy support growth from every single-column
-    start, scoring candidate supports by the exact top singular value."""
-    n, N = e.shape
-    G = e.T @ e
-    best = 0.0
-    for start in range(N):
-        support = [start]
-        while len(support) < m:
-            cands = [j for j in range(N) if j not in support]
-            k = len(support)
-            base = G[np.ix_(support, support)]
-            cross = G[np.ix_(support, cands)]
-            diag = G[cands, cands]
-            bordered = np.empty((len(cands), k + 1, k + 1))
-            bordered[:, :k, :k] = base
-            bordered[:, :k, k] = cross.T
-            bordered[:, k, :k] = cross.T
-            bordered[:, k, k] = diag
-            vals = np.linalg.eigvalsh(bordered)[:, -1]
-            support.append(cands[int(np.argmax(vals))])
-        top = float(np.linalg.eigvalsh(G[np.ix_(support, support)])[-1])
-        best = max(best, top)
-    return float(np.sqrt(max(best, 0.0)))
+def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[int, ...]]:
+    """(A_m, support attaining it); the support is () where greedy mode has
+    no certificate.  m = 1 and m = N are exact in both modes."""
+    if mode not in ("exact", "greedy"):
+        raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if not 1 <= m <= A.N:
+        raise ContractError(f"m must satisfy 1 <= m <= N = {A.N}, got {m}")
+    if m == 1:
+        norms = A.column_norms()
+        j = int(np.argmax(norms))
+        return float(norms[j]), (j,)
+    if m == A.N:
+        return matrix_norm(A), tuple(range(A.N))
+    if mode == "exact":
+        return _sparse_norm_exact(A, m)
+    return _thresholded_power(A.entries, m, A.seed), ()
 
 
 def sparse_norm(A: SampleMatrix, m: int, mode: str = "exact") -> float:
     """A_m, the operator norm restricted to m-sparse unit vectors.
 
     Exact mode enumerates supports (the m-sparse sup over a fixed support is
-    the top singular value of that column-submatrix); greedy mode returns the
-    better of thresholded power iteration and greedy support growth, always a
-    lower bound.  The endpoints m = 1 (max column norm) and m = N (operator
-    norm) are exact identities in both modes.
+    the top singular value of that column-submatrix); greedy mode runs
+    truncated power iteration, always a lower bound.  The endpoints m = 1
+    (max column norm) and m = N (operator norm) are exact identities in both
+    modes.
     """
-    if mode not in ("exact", "greedy"):
-        raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    if not 1 <= m <= A.N:
-        raise ContractError(f"m must satisfy 1 <= m <= N = {A.N}, got {m}")
-    if m == 1:
-        return A.max_column_norm()
-    if m == A.N:
-        return matrix_norm(A)
-    if mode == "exact":
-        value, _ = _sparse_norm_exact(A, m)
-        return value
-    return max(_thresholded_power(A.entries, m, A.seed), _greedy_growth(A.entries, m))
+    return _sparse_norm_at(A, m, mode)[0]
 
 
 def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProfile:
@@ -387,27 +375,13 @@ def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProf
         ms.append(m)
         m *= 2
     ms.append(A.N)
-    values: list[float] = []
-    certificates: list[tuple[int, ...]] = []
-    for m in ms:
-        if mode == "exact" and 1 < m < A.N:
-            value, support = _sparse_norm_exact(A, m)
-        else:
-            value = sparse_norm(A, m, mode)
-            if m == 1:
-                support = (int(np.argmax(A.column_norms())),)
-            elif m == A.N:
-                support = tuple(range(A.N))
-            else:
-                support = ()
-        values.append(value)
-        certificates.append(support)
+    values, certificates = zip(*(_sparse_norm_at(A, m, mode) for m in ms))
     a_m = np.maximum.accumulate(np.asarray(values))
     return SparseNormProfile(
         m_values=np.asarray(ms, dtype=np.int64),
         a_m=a_m,
         mode=mode,
-        certificates=tuple(certificates) if mode == "exact" else None,
+        certificates=certificates if mode == "exact" else None,
     )
 
 

@@ -102,6 +102,14 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("COVCON_THREADS", raising=False)
     assert resolve_workers(3) == 3
     assert resolve_workers("auto") >= 1
+    # "auto" counts the CPUs this process may run on, not all the host has.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert resolve_workers("auto") == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert resolve_workers("auto") == 64
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert resolve_workers("auto") == 1
     monkeypatch.setenv("COVCON_THREADS", "4")
     assert resolve_workers(1) == 4
     monkeypatch.setenv("COVCON_THREADS", "zero")

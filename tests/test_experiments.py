@@ -16,6 +16,7 @@ from covcon.experiments import (
     CellSummary,
     ExperimentGrid,
     bai_yin_sandwich,
+    calibrate_constants,
     derive_seed,
     failure_rate,
     remark2_run,
@@ -300,3 +301,12 @@ def test_remark2_single_column_identity():
     res = run_grid(grid)[0]
     for r in res.reports:
         assert math.isclose(math.sqrt(r.lambda_max), r.max_col_norm, rel_tol=1e-10)
+
+
+def test_calibration_reproduces_default_config():
+    # The frozen constants are a pure function of the calibration seed.  The
+    # sparse-norm requirement is 0 there (A_m < 6 max|X_i| at every
+    # calibration shape), so the greedy heuristic cannot move C_old.
+    cfg, details = calibrate_constants()
+    assert cfg == DEFAULT_CONFIG
+    assert details["thmold_requirement"] == 0.0

@@ -4,6 +4,7 @@ The deviation path reads its extremal eigenvalues from LAPACK; the Jacobi
 solver is the reference it is cross-checked against."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ def test_lapack_extremes_match_jacobi_oracle(family):
 
 def test_deviation_rejects_overflowing_gram():
     A = SampleMatrix(entries=np.full((2, 3), 1e200), spec=None)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ContractError, match="non-finite"):
             operator_deviation(A)
         with pytest.raises(ContractError, match="non-finite"):
