@@ -255,12 +255,12 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
 DEFAULT_CONFIG = BoundConfig(
     psi=1.0,
     K=1.0,
-    C_main=0.5430353564701124,
+    C_main=0.5547446505667845,
     c_prob=0.35,
-    C1=1.797500524842805,
-    C2=0.6553722626278761,
-    C3=138.31678293830709,
-    C_old=0.6553722626278761,
+    C1=1.7975005248428122,
+    C2=0.6529677436834194,
+    C3=137.809307502014,
+    C_old=0.6529677436834194,
     t=1.0,
 )
 

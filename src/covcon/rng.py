@@ -16,12 +16,15 @@ Layout of the 256-bit Philox counter (c0, c1, c2, c3):
 
 Key = (seed, 0).  Each block yields four 64-bit words; floating-point
 variates come from fixed bit transforms of those words, documented on the
-functions below.
+functions below.  Every transform reads one word per variate and none
+rejects, so draw j of a stream is word j: how many words a draw uses never
+depends on the data, and any window of draws can be recomputed on its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = [
     "TAG_COLUMNS",
@@ -35,6 +38,7 @@ __all__ = [
     "uniform_open",
     "uniform_sym",
     "normal_columns",
+    "normal_from_words",
     "laplace_from_words",
     "exponential_from_words",
 ]
@@ -165,10 +169,11 @@ def words_at(seed: int, streams: np.ndarray, tag: int, positions: np.ndarray) ->
 def uniform_open(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to the open interval (0, 1).
 
-    Uses the top 53 bits: u = (w >> 11 + 0.5) * 2**-53, so 0 and 1 are
-    unattainable and log/inverse-CDF transforms are safe without clamping.
+    Uses the top 52 bits: u = (w >> 12 + 0.5) * 2**-52, which is exact in
+    float64 and lies in [2**-53, 1 - 2**-53], so log and inverse-CDF
+    transforms are finite without clamping.
     """
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def uniform_sym(words: np.ndarray) -> np.ndarray:
@@ -187,74 +192,16 @@ def exponential_from_words(words: np.ndarray) -> np.ndarray:
     return -np.log1p(-uniform_open(words))
 
 
-def _polar_pairs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marsaglia polar transform on consecutive word pairs.
-
-    Returns (z1, z2, accept) for each pair; rejected pairs carry zeros.
-    """
-    npairs = words.shape[-1] // 2
-    v1 = uniform_sym(words[..., 0 : 2 * npairs : 2])
-    v2 = uniform_sym(words[..., 1 : 2 * npairs : 2])
-    s = v1 * v1 + v2 * v2
-    accept = (s < 1.0) & (s > 0.0)
-    s_safe = np.where(accept, s, 0.5)
-    scale = np.sqrt(-2.0 * np.log(s_safe) / s_safe)
-    return v1 * scale, v2 * scale, accept
+def normal_from_words(words: np.ndarray) -> np.ndarray:
+    """Standard normal by inverse CDF, one word per draw."""
+    return ndtri(uniform_open(words))
 
 
-def normal_columns(
-    seed: int,
-    streams: np.ndarray,
-    tag: int,
-    count: int,
-    initial_pairs: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def normal_columns(seed: int, streams: np.ndarray, tag: int, count: int) -> np.ndarray:
     """Standard normal draws per stream: shape (len(streams), count).
 
-    Uses the Marsaglia polar method, consuming each stream's words in pairs
-    and keeping accepted pairs in order.  Rejection makes consumption
-    data-dependent, so the second return value gives the number of words each
-    stream consumed — the next independent draw on the same stream starts
-    there.  Streams that exhaust the initial word budget are topped up by
-    re-reading a longer prefix; since acceptance is a pure function of the
-    prefix, the result is independent of the budget (``initial_pairs`` exists
-    so tests can force the top-up path).
+    Draw j of a stream is the inverse normal CDF of its word j, so a stream's
+    word use is fixed by the count and the next independent draw on the same
+    stream starts at word ``count``.
     """
-    streams = np.asarray(streams, dtype=np.uint64)
-    nstream = len(streams)
-    if count <= 0:
-        return np.empty((nstream, 0)), np.zeros(nstream, dtype=np.int64)
-    need_pairs = (count + 1) // 2
-    # Acceptance rate is pi/4; the margin makes shortfalls ~1e-7 per stream.
-    budget = int(np.ceil(need_pairs / 0.7)) + 16
-    if initial_pairs is not None:
-        budget = max(1, initial_pairs)
-
-    out = np.empty((nstream, count))
-    consumed = np.zeros(nstream, dtype=np.int64)
-    pending = np.arange(nstream)
-    for _attempt in range(64):
-        words = raw_words(seed, streams[pending], tag, 2 * budget)
-        z1, z2, accept = _polar_pairs(words)
-        rank = np.cumsum(accept, axis=1)
-        done = rank[:, -1] >= need_pairs
-        if np.any(done):
-            drow = np.nonzero(done)[0]
-            r_rank = rank[drow]
-            sel = accept[drow] & (r_rank <= need_pairs)
-            rows, cols = np.nonzero(sel)
-            slot = r_rank[rows, cols] - 1
-            pairs = np.empty((len(drow), 2 * need_pairs))
-            pairs[rows, 2 * slot] = z1[drow][rows, cols]
-            pairs[rows, 2 * slot + 1] = z2[drow][rows, cols]
-            targets = pending[drow]
-            out[targets] = pairs[:, :count]
-            # Words consumed = 2 * (1 + column index of the need_pairs-th
-            # accepted pair); that index equals the count of columns whose
-            # running acceptance rank is still below need_pairs.
-            consumed[targets] = 2 * ((r_rank < need_pairs).sum(axis=1) + 1)
-        pending = pending[~done]
-        if len(pending) == 0:
-            return out, consumed
-        budget *= 2
-    raise RuntimeError("polar sampling failed to accept enough pairs")  # pragma: no cover
+    return normal_from_words(raw_words(seed, streams, tag, count))

@@ -22,11 +22,14 @@ Isotropy normalizations are exact:
     variance Gamma(3/p) Gamma(n/p+1) / (Gamma(1/p) Gamma((n+2)/p+1)); the
     scale factor is the inverse square root of that (computed via log-Gamma).
 
-Sampling is a pure function of the spec (seed included): columns draw from
-per-column counter-based streams (see rng), so output is bit-identical for
-any chunking or worker schedule.  The l_p ball uses the exact rejection-free
-construction: draw g_i with density proportional to exp(-|t|^p), an
-independent exponential W, and map g / (sum |g_i|^p + W)^{1/p} onto the ball.
+Sampling is a pure function of the spec (seed included): column j reads a
+fixed number of words from its own counter-based stream (see rng) — n for
+gaussian, exponential_product, rademacher_control and the cube, n + 1 for
+euclidean_ball, 2n + 1 for lp_ball — so it depends on (seed, j) alone, and
+any chunk of columns is bit-identical to the same columns of the full draw.
+The l_p ball uses the exact rejection-free construction: draw g_i with
+density proportional to exp(-|t|^p), an independent exponential W, and map
+g / (sum |g_i|^p + W)^{1/p} onto the ball.
 """
 
 from __future__ import annotations
@@ -197,16 +200,16 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicSca
 
 
 def _columns_gaussian(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
-    out, _ = rng.normal_columns(seed, cols, tag, n)
-    return out
+    return rng.normal_columns(seed, cols, tag, n)
 
 
 def _columns_euclidean_ball(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
-    g, used = rng.normal_columns(seed, cols, tag, n)
+    # Fixed word layout per column: n normal words, then one radius word.
+    words = rng.raw_words(seed, cols, tag, n + 1)
+    g = rng.normal_from_words(words[:, :n])
     norms = np.linalg.norm(g, axis=1)
-    # Place the direction g/|g| at radius r * U^{1/n}; the radius word is the
-    # first word after the (data-dependent) normal consumption.
-    u = rng.uniform_open(rng.words_at(seed, cols, tag, used))
+    # Place the direction g/|g| at radius r * U^{1/n}.
+    u = rng.uniform_open(words[:, n])
     radius = math.sqrt(n + 2.0) * u ** (1.0 / n)
     out = g * (radius / norms)[:, None]
     # Guard the hard support bound against rounding in the product above.

@@ -239,7 +239,7 @@ def probe_directions(n: int, count: int, seed: int) -> np.ndarray:
     """`count` deterministic pseudo-random unit vectors in R^n (rows)."""
     if count <= 0:
         return np.empty((0, n))
-    g, _ = rng.normal_columns(seed, np.arange(count, dtype=np.uint64), rng.TAG_PROBES, n)
+    g = rng.normal_columns(seed, np.arange(count, dtype=np.uint64), rng.TAG_PROBES, n)
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
@@ -318,7 +318,7 @@ def _thresholded_power(e: np.ndarray, m: int, seed: int) -> float:
     largest coordinates, from _POWER_STARTS deterministic pseudo-random
     starting vectors (start k is TAG_SEARCH stream k)."""
     n, N = e.shape
-    z, _ = rng.normal_columns(seed, np.arange(_POWER_STARTS, dtype=np.uint64), rng.TAG_SEARCH, N)
+    z = rng.normal_columns(seed, np.arange(_POWER_STARTS, dtype=np.uint64), rng.TAG_SEARCH, N)
     z = np.ascontiguousarray(z.T)  # (N, starts)
 
     def project(w: np.ndarray) -> np.ndarray:
@@ -550,6 +550,31 @@ def truncation_split(
 
 _SOBOL_LOG2_COUNT = {2: 13, 3: 16, 4: 17, 5: 16, 6: 16, 7: 16, 8: 16}
 
+#: Largest dimension whose net is completed from convex-hull facets; one
+#: n = 6 hull already takes several seconds.
+_HULL_REPAIR_MAX_N = 5
+
+
+def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float) -> list[np.ndarray]:
+    """Append, in order, every candidate farther than epsilon from all points
+    accepted so far (squared chord distance 2 - 2<a, b> > eps_sq)."""
+    block = np.asarray(accepted)
+    chunk = 2048
+    for lo in range(0, len(cands), chunk):
+        part = cands[lo : lo + chunk]
+        base_min = np.min(2.0 - 2.0 * part @ block.T, axis=1)
+        fresh: list[np.ndarray] = []
+        for j in range(len(part)):
+            d2 = base_min[j]
+            if fresh and d2 > eps_sq:
+                d2 = min(d2, np.min(2.0 - 2.0 * np.asarray(fresh) @ part[j]))
+            if d2 > eps_sq:
+                fresh.append(part[j])
+        if fresh:
+            accepted.extend(fresh)
+            block = np.asarray(accepted)
+    return accepted
+
 
 @lru_cache(maxsize=32)
 def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
@@ -566,35 +591,39 @@ def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
     cands = g / np.linalg.norm(g, axis=1)[:, None]
 
     eps_sq = epsilon * epsilon
-    accepted = [cands[0]]
-    block = np.array([cands[0]])
-    chunk = 2048
-    for lo in range(1, len(cands), chunk):
-        part = cands[lo : lo + chunk]
-        # Squared distance to the already-frozen net via 2 - 2<a, b>.
-        base_min = np.min(2.0 - 2.0 * part @ block.T, axis=1)
-        fresh: list[np.ndarray] = []
-        for j in range(len(part)):
-            d2 = base_min[j]
-            if fresh and d2 > eps_sq:
-                d2 = min(d2, np.min(2.0 - 2.0 * np.asarray(fresh) @ part[j]))
-            if d2 > eps_sq:
-                fresh.append(part[j])
-        if fresh:
-            accepted.extend(fresh)
-            block = np.asarray(accepted)
-    return np.asarray(accepted)
+    accepted = _greedy_extend([cands[0]], cands[1:], eps_sq)
+    if n > _HULL_REPAIR_MAX_N:
+        return np.asarray(accepted)
+
+    from scipy.spatial import ConvexHull
+
+    # Each hull facet a.x + b = 0 (a a unit outward normal) cuts off an empty
+    # cap centred at a, of squared chord radius 2 + 2b; the deepest points
+    # left uncovered are these centres.  Add them, deepest first, until
+    # every cap is within epsilon: the set is then maximal on the sphere.
+    while True:
+        eq = ConvexHull(np.asarray(accepted)).equations
+        depth = 2.0 + 2.0 * eq[:, n]
+        order = np.argsort(-depth, kind="stable")
+        holes = eq[order[depth[order] > eps_sq], :n]
+        before = len(accepted)
+        accepted = _greedy_extend(accepted, holes, eps_sq)
+        if len(accepted) == before:
+            return np.asarray(accepted)
 
 
 def build_net(n: int, epsilon: float) -> SphereNet:
-    """Greedy maximal epsilon-separated subset of a deterministic
-    low-discrepancy point cloud on S^{n-1}.
+    """Epsilon-separated point set on S^{n-1}, maximal on the sphere for
+    n <= 5.
 
-    Maximality makes the net cover the candidate cloud within epsilon; the
-    cloud itself resolves the sphere to within its own dispersion (fine for
-    n <= 4, coarser for n up to 8).  Pairwise separation > epsilon is exact
-    by construction, which gives the packing cardinality bound
-    |net| <= (1 + 2/epsilon)^n.
+    A greedy pass keeps every point of a deterministic low-discrepancy cloud
+    that lies farther than epsilon from those kept before it.  For n <= 5 the
+    deep holes are then filled: the centre of each empty cap cut off by a
+    convex-hull facet is added while its cap is wider than epsilon, so the
+    net covers the whole sphere within epsilon.  For n = 6..8 it covers the
+    cloud within epsilon, and the sphere only within epsilon plus the cloud's
+    dispersion.  Pairwise separation > epsilon is exact by construction,
+    which gives the packing cardinality bound |net| <= (1 + 2/epsilon)^n.
     """
     if not (isinstance(n, int) and 1 <= n <= 8):
         raise ContractError(f"net construction is limited to 1 <= n <= 8, got {n!r}")

@@ -103,8 +103,13 @@ def test_streams_and_tags_are_disjoint():
 
 
 def test_uniform_open_range_and_endpoints():
-    assert rng.uniform_open(np.uint64(0)) == 2.0**-54
-    assert rng.uniform_open(np.uint64((1 << 64) - 1)) == 1.0 - 2.0**-54
+    assert rng.uniform_open(np.uint64(0)) == 2.0**-53
+    top = rng.uniform_open(np.uint64((1 << 64) - 1))
+    assert top == 1.0 - 2.0**-53
+    assert top < 1.0
+    extremes = _u64([0, (1 << 64) - 1])
+    for transform in (rng.exponential_from_words, rng.laplace_from_words, rng.normal_from_words):
+        assert np.all(np.isfinite(transform(extremes)))
     words = rng.raw_words(1, np.arange(1), rng.TAG_COLUMNS, 4096)
     u = rng.uniform_open(words)
     assert np.all((u > 0.0) & (u < 1.0))
@@ -130,36 +135,35 @@ def test_exponential_and_laplace_transforms():
 
 def test_normal_columns_shape_moments_determinism():
     streams = np.arange(8)
-    z1, used1 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
-    z2, used2 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
+    z1 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
+    z2 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
     assert z1.shape == (8, 6)
     assert np.array_equal(z1, z2)
-    assert np.array_equal(used1, used2)
-    assert np.all(used1 >= 6)
-    big, _ = rng.normal_columns(11, np.arange(4), rng.TAG_COLUMNS, 50_000)
+    assert rng.normal_columns(11, streams, rng.TAG_COLUMNS, 0).shape == (8, 0)
+    big = rng.normal_columns(11, np.arange(4), rng.TAG_COLUMNS, 50_000)
     assert abs(big.mean()) < 0.02
     assert abs(big.var() - 1.0) < 0.02
     assert abs((big**4).mean() - 3.0) < 0.1
 
 
-def test_normal_columns_topup_equivalence():
-    # Starting from a deliberately tiny word budget exercises the doubling
-    # top-up path; the selected values must be identical either way.
+def test_normal_columns_read_one_word_per_draw():
+    # Draw j of a stream is the inverse normal CDF of word j.
     streams = np.arange(5)
-    base, used_base = rng.normal_columns(21, streams, rng.TAG_COLUMNS, 40)
-    topped, used_topped = rng.normal_columns(21, streams, rng.TAG_COLUMNS, 40, initial_pairs=4)
-    assert np.array_equal(base, topped)
-    assert np.array_equal(used_base, used_topped)
+    z = rng.normal_columns(21, streams, rng.TAG_COLUMNS, 40)
+    words = rng.raw_words(21, streams, rng.TAG_COLUMNS, 40)
+    assert np.array_equal(z, rng.normal_from_words(words))
+    window = rng.raw_words(21, streams, rng.TAG_COLUMNS, 9, start=31)
+    assert np.array_equal(z[:, 31:], rng.normal_from_words(window))
 
 
 def test_normal_columns_prefix_stability():
     # The first draws of a stream do not depend on how many are requested.
-    short, _ = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 10)
-    long, _ = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 64)
+    short = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 10)
+    long = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 64)
     assert np.array_equal(short, long[:, :10])
 
 
 def test_gaussian_tail_fraction():
-    z, _ = rng.normal_columns(13, np.arange(2), rng.TAG_COLUMNS, 50_000)
+    z = rng.normal_columns(13, np.arange(2), rng.TAG_COLUMNS, 50_000)
     frac = float((np.abs(z.ravel()) > 1.959963984540054).mean())
     assert math.isclose(frac, 0.05, rel_tol=0.12)

@@ -1,11 +1,12 @@
 """Ensemble sampling: isotropy, supports, determinism, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from covcon import sampler
+from covcon import rng, sampler
 from covcon.errors import ContractError, ResourceError
 from covcon.sampler import (
     EnsembleSpec,
@@ -110,6 +111,38 @@ def test_determinism_bitwise():
         sample_ensemble(EnsembleSpec("gaussian", 2, 5, 1)).entries,
         sample_ensemble(EnsembleSpec("gaussian", 2, 5, 2)).entries,
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec("gaussian", 5, 40, 21),
+        EnsembleSpec("euclidean_ball", 5, 40, 22),
+        EnsembleSpec("exponential_product", 5, 40, 23),
+        EnsembleSpec("lp_ball", 5, 40, 24, p=1.5),
+        EnsembleSpec("lp_ball", 5, 40, 25, p=math.inf),
+        EnsembleSpec("rademacher_control", 5, 40, 26),
+    ],
+    ids=lambda s: sampler.family_token(s.family, s.p),
+)
+def test_fixed_word_layout_makes_chunking_exact(spec):
+    # Column j reads a fixed window of its own stream, so a narrower draw is
+    # exactly a prefix of a wider one.
+    full = sample_ensemble(spec).entries
+    for k in (1, 7, 39):
+        assert np.array_equal(sample_ensemble(replace(spec, N=k)).entries, full[:, :k])
+    n = spec.n
+    if spec.family == "gaussian":
+        for j in (0, 17):
+            expected = rng.normal_from_words(rng.raw_words(spec.seed, [j], rng.TAG_COLUMNS, n))
+            assert np.array_equal(full[:, j], expected[0])
+    elif spec.family == "euclidean_ball":
+        # Words 0..n-1 give the direction, word n the radius r U^{1/n}.
+        words = rng.raw_words(spec.seed, np.arange(spec.N), rng.TAG_COLUMNS, n + 1)
+        g = rng.normal_from_words(words[:, :n]).T
+        radius = math.sqrt(n + 2.0) * rng.uniform_open(words[:, n]) ** (1.0 / n)
+        assert np.allclose(np.linalg.norm(full, axis=0), radius, rtol=1e-13, atol=0.0)
+        assert np.allclose(full, g * (radius / np.linalg.norm(g, axis=0)), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
