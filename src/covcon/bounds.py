@@ -258,9 +258,9 @@ DEFAULT_CONFIG = BoundConfig(
     C_main=0.5547446505667845,
     c_prob=0.35,
     C1=1.7975005248428122,
-    C2=0.6529677436834194,
-    C3=137.809307502014,
-    C_old=0.6529677436834194,
+    C2=0.652967743683418,
+    C3=137.80930750201372,
+    C_old=0.652967743683418,
     t=1.0,
 )
 

@@ -527,12 +527,7 @@ def calibrate_constants(
     cfg_main = bounds.BoundConfig(
         psi=1.0, K=1.0, C_main=C_main, c_prob=1.0, C1=1.0, C2=1.0, C3=1.0, C_old=1.0
     )
-    worst = []
-    for res in tall:
-        _, n, N = res.cell
-        rhs = bounds.theorem1_rhs(_effective(cfg_main, res), n, N)
-        frac = sum(1 for r in res.reports if r.deviation > rhs) / trials
-        worst.append((n, max(frac, 1.0 / trials)))
+    worst = [(c.cell[1], max(c.exceedance_fraction, 1.0 / trials)) for c in failure_rate(tall, cfg_main)]
     c_prob = 0.05
     for c in reversed([round(0.05 * k, 2) for k in range(1, 21)]):
         if all(min(1.0, 2.0 * math.exp(-c * math.sqrt(n))) >= 20.0 * f for n, f in worst):

@@ -14,11 +14,14 @@ Layout of the 256-bit Philox counter (c0, c1, c2, c3):
     c2 = stream index (e.g. column of the matrix, probe index)
     c3 = purpose tag (TAG_* constants) so distinct uses never collide
 
-Key = (seed, 0).  Each block yields four 64-bit words; floating-point
-variates come from fixed bit transforms of those words, documented on the
-functions below.  Every transform reads one word per variate and none
-rejects, so draw j of a stream is word j: how many words a draw uses never
-depends on the data, and any window of draws can be recomputed on its own.
+Key = (seed, 0).  The counter words broadcast against each other: a call
+passes the blocks as a row, the streams as a column and c1, c3 as scalars,
+so no counter or key array is materialised.  Each block yields four 64-bit
+words; floating-point variates come from fixed bit transforms of those
+words, documented on the functions below.  Every transform reads one word
+per variate and none rejects, so draw j of a stream is word j: how many
+words a draw uses never depends on the data, and any window of draws can
+be recomputed on its own.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def splitmix64(state: int) -> int:
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit product of a scalar constant with an array, as (hi, lo) words."""
+    """128-bit product of a scalar constant with uint64 words, as (hi, lo)."""
     lo = a * b
     ah = a >> _S32
     al = a & _LO32
@@ -97,24 +100,19 @@ def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def philox_block(
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    c3: np.ndarray,
-    key: int,
-    rounds: int = 10,
+    c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, key: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Philox-4x64 applied elementwise to arrays of counters.
+    """Philox-4x64-10 applied elementwise to uint64 counter words.
 
-    All counter arrays must share a shape and dtype uint64.  Returns the four
-    output words per counter.  ``rounds=10`` is the standard full-strength
-    variant; lower values exist only for testing the round structure.
+    The four counter words broadcast against each other, so a word that is
+    constant across the call can be a ``np.uint64`` scalar.  The key is
+    (key, 0).  Returns the four output words, each of the broadcast shape.
     """
     with np.errstate(over="ignore"):
-        k0 = np.full_like(c0, np.uint64(key & MASK64))
-        k1 = np.zeros_like(c0)
-        x0, x1, x2, x3 = c0.copy(), c1.copy(), c2.copy(), c3.copy()
-        for _ in range(rounds):
+        k0 = np.uint64(key & MASK64)
+        k1 = np.uint64(0)
+        x0, x1, x2, x3 = c0, c1, c2, c3
+        for _ in range(10):
             hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
             hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
             x0 = hi1 ^ x1 ^ k0
@@ -138,16 +136,9 @@ def raw_words(seed: int, streams: np.ndarray, tag: int, count: int, start: int =
     streams = np.asarray(streams, dtype=np.uint64)
     first_block = start // 4
     last_block = (start + count - 1) // 4
-    nblocks = last_block - first_block + 1
-    blocks = np.arange(first_block, first_block + nblocks, dtype=np.uint64)
-    c0 = np.broadcast_to(blocks, (len(streams), nblocks))
-    c2 = np.broadcast_to(streams[:, None], c0.shape)
-    c1 = np.zeros_like(c0)
-    c3 = np.full_like(c0, np.uint64(tag))
-    x0, x1, x2, x3 = philox_block(
-        np.ascontiguousarray(c0), c1, np.ascontiguousarray(c2), c3, seed
-    )
-    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(streams), 4 * nblocks)
+    blocks = np.arange(first_block, last_block + 1, dtype=np.uint64)
+    outs = philox_block(blocks[None, :], np.uint64(0), streams[:, None], np.uint64(tag), seed)
+    words = np.stack(outs, axis=-1).reshape(len(streams), 4 * len(blocks))
     lo = start - 4 * first_block
     return words[:, lo : lo + count]
 
@@ -156,14 +147,9 @@ def words_at(seed: int, streams: np.ndarray, tag: int, positions: np.ndarray) ->
     """One word per stream, at a per-stream position (gather form of raw_words)."""
     streams = np.asarray(streams, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.uint64)
-    c0 = positions // np.uint64(4)
     lane = (positions % np.uint64(4)).astype(np.intp)
-    c1 = np.zeros_like(c0)
-    c2 = streams.copy()
-    c3 = np.full_like(c0, np.uint64(tag))
-    outs = philox_block(c0, c1, c2, c3, seed)
-    stacked = np.stack(outs, axis=-1)
-    return stacked[np.arange(len(streams)), lane]
+    outs = philox_block(positions // np.uint64(4), np.uint64(0), streams, np.uint64(tag), seed)
+    return np.stack(outs, axis=-1)[np.arange(len(streams)), lane]
 
 
 def uniform_open(words: np.ndarray) -> np.ndarray:

@@ -169,15 +169,6 @@ class DirectionStatistics:
     samples: np.ndarray
 
 
-def _lp_ball_factor(n: int, p: float) -> float:
-    if math.isinf(p):
-        return math.sqrt(3.0)
-    # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
-    # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
-    log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
-    return float(np.exp(-0.5 * log_var))
-
-
 def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicScale:
     """The exact factor making `family` isotropic in dimension n."""
     if family not in FAMILIES:
@@ -195,7 +186,13 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicSca
     else:
         if not p >= 1.0:
             raise ContractError(f"lp_ball requires p >= 1, got {p!r}")
-        factor = _lp_ball_factor(n, p)
+        if math.isinf(p):
+            factor = math.sqrt(3.0)
+        else:
+            # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
+            # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
+            log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
+            factor = float(np.exp(-0.5 * log_var))
     return IsotropicScale(family=family, n=n, factor=factor)
 
 
@@ -209,11 +206,11 @@ def _columns_euclidean_ball(seed: int, cols: np.ndarray, n: int, tag: int) -> np
     g = rng.normal_from_words(words[:, :n])
     norms = np.linalg.norm(g, axis=1)
     # Place the direction g/|g| at radius r * U^{1/n}.
+    limit = isotropic_scale("euclidean_ball", n).factor
     u = rng.uniform_open(words[:, n])
-    radius = math.sqrt(n + 2.0) * u ** (1.0 / n)
+    radius = limit * u ** (1.0 / n)
     out = g * (radius / norms)[:, None]
     # Guard the hard support bound against rounding in the product above.
-    limit = math.sqrt(n + 2.0)
     out_norms = np.linalg.norm(out, axis=1)
     over = out_norms > limit
     if np.any(over):
@@ -223,7 +220,7 @@ def _columns_euclidean_ball(seed: int, cols: np.ndarray, n: int, tag: int) -> np
 
 def _columns_exponential(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
     words = rng.raw_words(seed, cols, tag, n)
-    return 2.0**-0.5 * rng.laplace_from_words(words)
+    return isotropic_scale("exponential_product", n).factor * rng.laplace_from_words(words)
 
 
 def _columns_rademacher(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
@@ -232,7 +229,7 @@ def _columns_rademacher(seed: int, cols: np.ndarray, n: int, tag: int) -> np.nda
 
 
 def _columns_lp_ball(seed: int, cols: np.ndarray, n: int, p: float, tag: int) -> np.ndarray:
-    factor = _lp_ball_factor(n, p)
+    factor = isotropic_scale("lp_ball", n, p).factor
     if math.isinf(p):
         words = rng.raw_words(seed, cols, tag, n)
         return factor * rng.uniform_sym(words)
@@ -340,12 +337,12 @@ def _check_support(mat: SampleMatrix) -> None:
     if spec is None:
         return
     if spec.family == "euclidean_ball":
-        limit = math.sqrt(spec.n + 2.0)
+        limit = isotropic_scale("euclidean_ball", spec.n).factor
         worst = mat.max_column_norm()
         if worst > limit * (1.0 + 1e-12):
             raise ContractError(f"euclidean_ball support violated: column norm {worst} > {limit}")
     elif spec.family == "lp_ball":
-        factor = _lp_ball_factor(spec.n, spec.p)
+        factor = isotropic_scale("lp_ball", spec.n, spec.p).factor
         scaled = np.abs(mat.entries) / factor
         if math.isinf(spec.p):
             worst = float(scaled.max())

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import betaincc, logsumexp, ndtr
 
 from . import rng
 from .errors import (
@@ -401,22 +401,13 @@ def _gaussian_tail_excess(B: float) -> float:
 
 def _ball_tail_excess(B: float, n: int) -> float:
     """E (Y^2 - B^2) 1{|Y| >= B} for Y = <X, x>, X uniform on the radius
-    sqrt(n+2) ball.  The marginal density on [-r, r] is proportional to
-    (1 - (t/r)^2)^{(n-1)/2} for every unit x (rotation invariance), so the
-    ratio of two half-line integrals needs no normalizing constant."""
-    r = math.sqrt(n + 2.0)
-    if B >= r:
-        return 0.0
-    half = (n - 1) / 2.0
-
-    def density(t: float) -> float:
-        return (max(1.0 - (t / r) ** 2, 0.0)) ** half
-
-    from scipy.integrate import quad
-
-    num, _ = quad(lambda t: (t * t - B * B) * density(t), B, r, limit=200)
-    den, _ = quad(density, 0.0, r, limit=200)
-    return num / den
+    sqrt(n+2) ball.  For every unit x (rotation invariance) Y^2/(n+2) is
+    Beta(1/2, (n+1)/2), and E Y^2 1{Y^2 >= B^2} is the Beta(3/2, (n+1)/2)
+    tail at the same point, so both terms are regularized incomplete beta
+    tails at b = min(B^2/(n+2), 1)."""
+    b = min(B * B / (n + 2.0), 1.0)
+    a = (n + 1) / 2.0
+    return float(betaincc(1.5, a, b) - B * B * betaincc(0.5, a, b))
 
 
 _LAPLACE_RATE = math.sqrt(2.0)

@@ -308,9 +308,9 @@ def test_default_config_frozen_values():
     assert DEFAULT_CONFIG.C_main == 0.5547446505667845
     assert DEFAULT_CONFIG.c_prob == 0.35
     assert DEFAULT_CONFIG.C1 == 1.7975005248428122
-    assert DEFAULT_CONFIG.C2 == 0.6529677436834194
-    assert DEFAULT_CONFIG.C3 == 137.809307502014
-    assert DEFAULT_CONFIG.C_old == 0.6529677436834194
+    assert DEFAULT_CONFIG.C2 == 0.652967743683418
+    assert DEFAULT_CONFIG.C3 == 137.80930750201372
+    assert DEFAULT_CONFIG.C_old == 0.652967743683418
 
 
 def test_default_config_internal_consistency():

@@ -330,8 +330,8 @@ def test_render_plot_svg_is_pure(small_run):
 
 
 def test_cli_import_defers_qmc_and_quad():
-    # scipy.stats (for qmc.Sobol) and scipy.integrate (for quad) load on the
-    # first net or ball-tail call, not at start-up.
+    # scipy.stats (for qmc.Sobol) loads on the first net call, not at
+    # start-up; scipy.integrate is never imported.
     code = "import sys, covcon.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

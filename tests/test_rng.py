@@ -54,6 +54,30 @@ def test_philox_block_matches_numpy():
             assert _block(counter + 1, 0, 0, 0, key) == expected
 
 
+def test_raw_words_match_numpy_streams():
+    # A whole stream with nonzero stream index c2 and tag c3, against numpy's
+    # Philox started at counter (0, 0, c2, c3).  numpy increments before its
+    # first block, so its output begins at our word 4.  The key goes in as a
+    # Python int: a list entry >= 2**63 would pass through float64.
+    for seed in (0, 77, 2**63 + 5, 2**64 - 1):
+        for stream, tag in ((1, 0), (3, rng.TAG_PROBES), (2**40 + 9, rng.TAG_SEARCH)):
+            bitgen = np.random.Philox(counter=[0, 0, stream, tag], key=seed)
+            ours = rng.raw_words(seed, [stream], tag, 40, start=4)[0]
+            assert np.array_equal(ours, bitgen.random_raw(40))
+
+
+def test_philox_block_broadcasts_counter_words():
+    # Scalar counter words give the same block as full arrays of that value.
+    c0 = _u64([[1, 2, 3]])
+    c2 = _u64([[0], [5]])
+    full = [np.broadcast_to(w, (2, 3)).copy() for w in (c0, _u64(0), c2, _u64(rng.TAG_FRESH))]
+    expected = rng.philox_block(*full, 99)
+    got = rng.philox_block(c0, np.uint64(0), c2, np.uint64(rng.TAG_FRESH), 99)
+    for e, g in zip(expected, got):
+        assert g.shape == (2, 3)
+        assert np.array_equal(e, g)
+
+
 def test_philox_block_frozen_vector():
     assert _block(1, 0, 0, 0, 12345) == [
         0xA5792C0A0ED6A560,

@@ -237,6 +237,21 @@ def test_gaussian_s3_matches_quadrature():
         assert math.isclose(split.s3, _gaussian_excess_oracle(B), rel_tol=1e-9)
 
 
+def test_ball_tail_excess_matches_quadrature():
+    # The closed form against the ratio of two quadratures of the marginal
+    # density (1 - (t/r)^2)^{(n-1)/2} on [-r, r], r = sqrt(n+2).
+    for n in (1, 2, 3, 5, 8, 16, 32, 64, 128):
+        r = math.sqrt(n + 2.0)
+        density = lambda t: max(1.0 - (t / r) ** 2, 0.0) ** ((n - 1) / 2.0)
+        den, _ = quad(density, 0.0, r, limit=200)
+        for B in np.linspace(0.0, r, 13)[1:-1]:
+            num, _ = quad(lambda t: (t * t - B * B) * density(t), B, r, limit=200)
+            assert math.isclose(statistics._ball_tail_excess(B, n), num / den, rel_tol=1e-10)
+        assert statistics._ball_tail_excess(0.0, n) == 1.0
+        for B in (math.nextafter(r, math.inf), r + 0.5, 3.0 * r):
+            assert statistics._ball_tail_excess(B, n) == 0.0
+
+
 def test_split_terms_recompute():
     A = sample_ensemble(EnsembleSpec("gaussian", 3, 200, 32))
     x = np.array([3.0, 0.0, 4.0]) / 5.0
