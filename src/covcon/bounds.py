@@ -255,12 +255,12 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
 DEFAULT_CONFIG = BoundConfig(
     psi=1.0,
     K=1.0,
-    C_main=0.5547446505667845,
+    C_main=0.5547446505667847,
     c_prob=0.35,
-    C1=1.7975005248428122,
-    C2=0.652967743683418,
-    C3=137.80930750201372,
-    C_old=0.652967743683418,
+    C1=1.7975005248428102,
+    C2=0.6529677436834189,
+    C3=137.80930750201392,
+    C_old=0.6529677436834189,
     t=1.0,
 )
 

@@ -12,12 +12,15 @@ psi_1 (sub-exponential Orlicz) norm of a scalar Y:
     ||Y||_{psi_1} = inf{ C > 0 : E exp(|Y|/C) <= 2 }.
 
 The empirical version replaces E by the mean over T samples Y_j, and the
-infimum is the root of g(s) = logsumexp_j(|Y_j| s) - ln(2T) in s = 1/C.  g is
-convex and increasing, so Newton's method started to the right of the root
-converges monotonically; each step also brackets the root (tangent root
-above, chord root below).  Finite-sample estimates are downward biased (they
-see no tail beyond the sample); treat them as lower bounds and report sample
-sizes.
+infimum is the root of g(s) = logsumexp_j(|Y_j| s) - ln(2T) in s = 1/C.  The
+solve runs on samples scaled to unit maximum, b_j = |Y_j| / max|Y|, and maps
+back by C = max|Y| / s, so subnormal and near-overflow samples solve alike.
+The row maximum of b s is then s itself, so g and g' come from one exp pass
+per step with no search for the maximum.  g is convex and increasing, so
+Newton's method started to the right of the root converges monotonically;
+each step also brackets the root (tangent root above, chord root below).
+Finite-sample estimates are downward biased (they see no tail beyond the
+sample); treat them as lower bounds and report sample sizes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincc, logsumexp, ndtr
+from scipy.special import betaincc, ndtr
 
 from . import rng
 from .errors import (
@@ -162,64 +165,83 @@ def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.abs(np.asarray(arr, dtype=np.float64))
     if a.ndim != 2 or a.shape[1] == 0:
         raise ContractError(f"expected a nonempty (d, T) sample array, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    amax = a.max(axis=1)
+    # NaN and inf propagate through max, so this checks every entry.
+    if not np.isfinite(amax).all():
         raise ContractError("samples contain non-finite values")
     d, T = a.shape
-    amax = a.max(axis=1)
-    zero = amax == 0.0
     lo = np.zeros(d)
     hi = np.zeros(d)
-    live = np.flatnonzero(~zero)
+    live = np.flatnonzero(amax)
     if live.size:
-        lo[live], hi[live] = _psi1_newton(a if live.size == d else a[live], amax[live], math.log(2.0 * T))
-    return 0.5 * (lo + hi), lo, hi
+        scale = amax[live]
+        b = a if live.size == d else a[live]
+        b /= scale[:, None]
+        lower, upper = _psi1_newton(b, math.log(2.0 * T))
+        lo[live], hi[live] = scale / upper, scale / lower
+    return lo + 0.5 * (hi - lo), lo, hi
 
 
-def _psi1_newton(a: np.ndarray, amax: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket [lo, hi] in C of the root of g(s) = logsumexp(a s) - target,
-    per row of a nonnegative array whose rows each have a positive entry.
+def logsumexp(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log sum_j exp(b_ij s_i) and its derivative in s_i, for
+    nonnegative rows b whose maximum is exactly 1 and s > 0.
 
-    Newton starts at s = target/amax, where the largest term alone makes
-    g >= 0.  g is convex and increasing with g(0) = -ln 2, so every tangent
-    root lies at or above the root and the chord root between a point with
-    g <= 0 and one with g >= 0 lies at or below it.  A row stops once that
-    bracket, mapped to C, is relatively narrower than _PSI1_REL_TOL, and is
-    not updated after; one log-sum-exp per step.
+    The row maximum of b s is then s itself, so one exp pass over
+    e = exp(b s - s) gives both: the log-sum-exp s + log sum e and the slope
+    sum b e / sum e.
     """
-    rows = a.shape[0]
+    e = b * s[:, None]
+    e -= s[:, None]
+    np.exp(e, out=e)
+    total = e.sum(axis=1)
+    return s + np.log(total), np.einsum("ij,ij->i", b, e) / total
+
+
+def _psi1_newton(b: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket [lower, upper] in s of the root of g(s) = logsumexp(b s) -
+    target, per row of a nonnegative array scaled to row maximum 1.
+
+    The solve is scale-free: the root lies in [ln 2, target] whatever the
+    sample scale, and the caller maps it to C = amax/s.  Newton starts at
+    s = target, where the largest term alone makes g >= 0.  g is convex and
+    increasing with g(0) = -ln 2, so every tangent root lies at or above the
+    root and the chord root between a point with g <= 0 and one with g >= 0
+    lies at or below it.  A row stops once that bracket is relatively
+    narrower than _PSI1_REL_TOL (the same relative width in C), and is not
+    updated after.  Each step makes one `logsumexp` call, one exp pass over
+    the data for g and g' together.
+    """
+    rows = b.shape[0]
     s_left = np.zeros(rows)  # g(s_left) <= 0
     g_left = np.full(rows, -math.log(2.0))
-    s_right = target / amax  # g(s_right) >= 0; evaluated first
+    s_right = np.full(rows, target)  # g(s_right) >= 0; evaluated first
     g_right = np.zeros(rows)
     s = s_right
-    lo = np.zeros(rows)
-    hi = np.zeros(rows)
+    lower = np.zeros(rows)
+    upper = np.zeros(rows)
     active = np.ones(rows, dtype=bool)
     for _ in range(_PSI1_MAX_ITER):
-        x = a * s[:, None]
-        lse = logsumexp(x, axis=1)
+        lse, slope = logsumexp(b, s)  # slope = g'(s) > 0
         g = lse - target
-        x -= lse[:, None]
-        slope = np.einsum("ij,ij->i", a, np.exp(x, out=x))  # g'(s) > 0
         right = g >= 0.0
         s_left, g_left = np.where(right, s_left, s), np.where(right, g_left, g)
         s_right, g_right = np.where(right, s, s_right), np.where(right, g, g_right)
-        upper = np.minimum(s - g / slope, s_right)
+        tangent = np.minimum(s - g / slope, s_right)
         rise = g_right - g_left
         safe = np.where(rise > 0.0, rise, 1.0)
-        lower = np.where(rise > 0.0, s_left - g_left * (s_right - s_left) / safe, s_right)
+        chord = np.where(rise > 0.0, s_left - g_left * (s_right - s_left) / safe, s_right)
         # Both ends are exact bounds in exact arithmetic; rounding near the
         # root can cross them, which closes the bracket.
-        lower = np.minimum(lower, upper)
-        lo = np.where(active, 1.0 / upper, lo)
-        hi = np.where(active, 1.0 / lower, hi)
-        active &= ~(hi - lo <= _PSI1_REL_TOL * hi)
+        chord = np.minimum(chord, tangent)
+        lower = np.where(active, chord, lower)
+        upper = np.where(active, tangent, upper)
+        active &= ~(upper - lower <= _PSI1_REL_TOL * upper)
         if not active.any():
             break
         # Newton steps from the right; a tangent from a point left of the
         # root can land beyond the known right end, so bisect instead.
-        s = np.where(upper < s_right, upper, 0.5 * (lower + upper))
-    return lo, hi
+        s = np.where(tangent < s_right, tangent, 0.5 * (chord + tangent))
+    return lower, upper
 
 
 def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:

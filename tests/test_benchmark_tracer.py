@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from covcon import rng
+from covcon import rng, statistics
+from covcon.sampler import EnsembleSpec, sample_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -38,3 +39,26 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert rng.normal_columns is original
     names = [span.name for span in tracer.spans]
     assert names == ["rng.normal_columns", "rng.raw_words"]
+
+
+def test_psi1_steps_are_logsumexp_spans(monkeypatch):
+    # The benchmark's statistics.psi1_iterations counts the logsumexp spans
+    # under psi1_ensemble: one per Newton step, a handful per call.
+    tracing = _load_tracing(monkeypatch)
+    A = sample_ensemble(EnsembleSpec("gaussian", 16, 4096, 5))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        statistics.psi1_ensemble(A, 16)
+    finally:
+        tracer.uninstall()
+    by_id = {span.id: span for span in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    steps = [span for span in tracer.spans if span.name == "statistics.logsumexp"]
+    assert 1 <= len(steps) <= 10
+    assert all("statistics.psi1_ensemble" in ancestors(span) for span in steps)

@@ -260,6 +260,29 @@ def test_bundle_rerun_is_byte_identical(small_run, tmp_path):
         assert (rerun_dir / name).read_bytes() == (small_run["dir"] / name).read_bytes()
 
 
+def test_bundle_identical_across_blas_threads(tmp_path):
+    # The Gram products and eigensolves go through OpenBLAS; its thread count
+    # must not reach the bytes.  Cells are large enough for threaded gemm.
+    grid = ExperimentGrid(
+        cells=(("gaussian", 64, 4096), ("exponential_product", 32, 8192), ("euclidean_ball", 16, 2048)),
+        trials_per_cell=10,
+        master_seed=experiments.VERIFICATION_MASTER_SEED,
+        bound_config=DEFAULT_CONFIG,
+    )
+    bundles = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"blas{threads}"
+        config_path = tmp_path / f"run{threads}.ini"
+        config = RunConfig(grid=grid, output_dir=str(out_dir), emit=frozenset({"csv", "json", "svg"}), parallelism=1)
+        config_path.write_text(config.to_text())
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "COVCON_THREADS": "1"}
+        proc = run_cli(["experiment", "--config", str(config_path)], env_extra=env)
+        assert proc.returncode == 0, proc.stderr
+        bundles.append(out_dir)
+    for name in ("results.csv", "scaling.json", "bounds_check.json", "plot.svg"):
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
+
+
 def test_bundle_respects_emit_subset(tmp_path):
     out_dir = tmp_path / "csv_only"
     config = RunConfig(

@@ -1,6 +1,7 @@
 """Tail-norm estimation, sparse norms, truncation split, and sphere nets."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import ndtr
 
 from covcon import statistics
@@ -67,6 +69,42 @@ def test_psi1_scale_equivariant(c):
     assert math.isclose(psi1_estimate(c * samples).value, c * base, rel_tol=1e-12)
 
 
+def test_psi1_at_the_ends_of_the_float_range():
+    # Scaling by a power of two is exact, so the solve on unit-max rows must
+    # give the same constant for subnormal samples as for their normal
+    # multiples; only C = amax/s rounds in the subnormal range.
+    y = 1e-310 * np.random.default_rng(10).exponential(1.0, 2_000)
+    value = psi1_estimate(y).value
+    assert math.isclose(value, 2.0**-60 * psi1_estimate(2.0**60 * y).value, rel_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = psi1_estimate(np.array([1e308, 1e308, 0.0]))
+    lo, hi = est.bracket
+    assert math.isfinite(est.value) and lo <= est.value <= hi
+    # Two of three terms at amax: (2 exp(s) + 1)/3 = 2, so C = 1e308/ln 2.5.
+    assert math.isclose(est.value, 1e308 / math.log(2.5), rel_tol=1e-12)
+
+
+def _unit_max_rows():
+    g = np.random.default_rng(12)
+    one = np.zeros((1, 3_000))
+    one[0, 17] = 2.5
+    for rows in (np.abs(g.standard_normal((6, 3_000))), g.exponential(1.0, (4, 3_000)), one, np.full((1, 3_000), 0.7)):
+        yield rows / rows.max(axis=1)[:, None]
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.5, 3.0, math.log(6_000.0)])
+def test_logsumexp_helper_matches_scipy(s):
+    for b in _unit_max_rows():
+        sv = np.full(b.shape[0], s)
+        lse, slope = statistics.logsumexp(b, sv)
+        x = b * s
+        np.testing.assert_allclose(lse, scipy_logsumexp(x, axis=1), rtol=1e-14, atol=0.0)
+        weights = np.exp(x - x.max(axis=1)[:, None])
+        weights /= weights.sum(axis=1)[:, None]
+        np.testing.assert_allclose(slope, (weights * b).sum(axis=1), rtol=1e-14, atol=0.0)
+
+
 def test_psi1_exponential_unit_rate():
     # E exp(Y/C) = 1/(1 - 1/C) for Y ~ Exp(1), so the true constant is 2.
     samples = np.random.default_rng(10).exponential(1.0, 100_000)
@@ -79,6 +117,16 @@ def test_psi1_degenerate_and_invalid():
         psi1_estimate(np.empty(0))
     with pytest.raises(ContractError):
         psi1_estimate(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psi1_rejects_non_finite(bad):
+    with pytest.raises(ContractError, match="non-finite"):
+        psi1_estimate(np.array([0.5, bad, 2.0]))
+    rows = np.ones((3, 8))
+    rows[2, 5] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        statistics._psi1_rows(rows)
 
 
 def test_gaussian_psi1_reference_value():
