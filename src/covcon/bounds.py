@@ -255,12 +255,12 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
 DEFAULT_CONFIG = BoundConfig(
     psi=1.0,
     K=1.0,
-    C_main=0.5547446505667847,
+    C_main=0.5430897976748112,
     c_prob=0.35,
-    C1=1.7975005248428102,
-    C2=0.6529677436834189,
-    C3=137.80930750201392,
-    C_old=0.6529677436834189,
+    C1=1.746519898641664,
+    C2=0.6578493393141283,
+    C3=138.83957173769883,
+    C_old=0.6578493393141283,
     t=1.0,
 )
 

@@ -9,19 +9,19 @@ chunking, or worker count.
 
 Layout of the 256-bit Philox counter (c0, c1, c2, c3):
 
-    c0 = block position along the stream (increments as words are consumed)
+    c0 = stream index (e.g. column of the matrix, probe index)
     c1 = 0 (reserved)
-    c2 = stream index (e.g. column of the matrix, probe index)
+    c2 = block position along the stream (4 words per block)
     c3 = purpose tag (TAG_* constants) so distinct uses never collide
 
-Key = (seed, 0).  The counter words broadcast against each other: a call
-passes the blocks as a row, the streams as a column and c1, c3 as scalars,
-so no counter or key array is materialised.  Each block yields four 64-bit
-words; floating-point variates come from fixed bit transforms of those
-words, documented on the functions below.  Every transform reads one word
-per variate and none rejects, so draw j of a stream is word j: how many
-words a draw uses never depends on the data, and any window of draws can
-be recomputed on its own.
+Key = (seed, 0).  A counter increment steps c0, so one block of a run of
+streams is one call of numpy's C Philox (``raw_words``), which returns the
+words word-major: a row per word position, a column per stream.
+``philox_block`` is the vectorised reference.  Floating-point variates come
+from fixed bit transforms of the words, documented on the functions below.
+Every transform reads one word per variate and none rejects, so draw j of a
+stream is word j: how many words a draw uses never depends on the data, and
+any window of draws can be recomputed on its own.
 """
 
 from __future__ import annotations
@@ -124,31 +124,33 @@ def philox_block(
     return x0, x1, x2, x3
 
 
-def raw_words(seed: int, streams: np.ndarray, tag: int, count: int, start: int = 0) -> np.ndarray:
-    """Words [start, start+count) of each stream, shape (len(streams), count).
+def raw_words(seed: int, streams: range, tag: int, count: int, start: int = 0) -> np.ndarray:
+    """Words [start, start+count) of each stream of the contiguous run
+    ``streams`` (a step-1 range), word-major: shape (count, len(streams)).
 
-    Streams are independent positions in counter word c2; ``tag`` fills c3.
-    Consumption is block-aligned internally (4 words per Philox block), so any
+    Block b is one ``np.random.Philox`` call from counter (streams.start, 0,
+    b, tag) minus one, as numpy increments before its first block.  Any
     (start, count) window of a stream is reproducible in isolation.
     """
+    m = len(streams)
     if count <= 0:
-        return np.empty((len(streams), 0), dtype=np.uint64)
-    streams = np.asarray(streams, dtype=np.uint64)
+        return np.empty((0, m), dtype=np.uint64)
     first_block = start // 4
-    last_block = (start + count - 1) // 4
-    blocks = np.arange(first_block, last_block + 1, dtype=np.uint64)
-    outs = philox_block(blocks[None, :], np.uint64(0), streams[:, None], np.uint64(tag), seed)
-    words = np.stack(outs, axis=-1).reshape(len(streams), 4 * len(blocks))
+    blocks = range(first_block, (start + count - 1) // 4 + 1)
+    words = np.empty((4 * len(blocks), m), dtype=np.uint64)
+    for i, b in enumerate(blocks):
+        counter = (streams.start + (b << 128) + (tag << 192) - 1) % (1 << 256)
+        words[4 * i : 4 * i + 4] = np.random.Philox(counter=counter, key=seed).random_raw(4 * m).reshape(m, 4).T
     lo = start - 4 * first_block
-    return words[:, lo : lo + count]
+    return words[lo : lo + count]
 
 
 def words_at(seed: int, streams: np.ndarray, tag: int, positions: np.ndarray) -> np.ndarray:
-    """One word per stream, at a per-stream position (gather form of raw_words)."""
+    """Word positions[i] of stream streams[i] (gather form of raw_words, on philox_block)."""
     streams = np.asarray(streams, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.uint64)
     lane = (positions % np.uint64(4)).astype(np.intp)
-    outs = philox_block(positions // np.uint64(4), np.uint64(0), streams, np.uint64(tag), seed)
+    outs = philox_block(streams, np.uint64(0), positions // np.uint64(4), np.uint64(tag), seed)
     return np.stack(outs, axis=-1)[np.arange(len(streams)), lane]
 
 
@@ -183,8 +185,9 @@ def normal_from_words(words: np.ndarray) -> np.ndarray:
     return ndtri(uniform_open(words))
 
 
-def normal_columns(seed: int, streams: np.ndarray, tag: int, count: int) -> np.ndarray:
-    """Standard normal draws per stream: shape (len(streams), count).
+def normal_columns(seed: int, streams: range, tag: int, count: int) -> np.ndarray:
+    """Standard normal draws of a contiguous run of streams, word-major:
+    shape (count, len(streams)), column i holding stream streams[i].
 
     Draw j of a stream is the inverse normal CDF of its word j, so a stream's
     word use is fixed by the count and the next independent draw on the same

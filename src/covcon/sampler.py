@@ -26,7 +26,9 @@ Sampling is a pure function of the spec (seed included): column j reads a
 fixed number of words from its own counter-based stream (see rng) — n for
 gaussian, exponential_product, rademacher_control and the cube, n + 1 for
 euclidean_ball, 2n + 1 for lp_ball — so it depends on (seed, j) alone, and
-any chunk of columns is bit-identical to the same columns of the full draw.
+``_columns`` draws any range of columns bit-identical to the same columns of
+the full draw.  The words of a run of streams come word-major (see rng), so
+they are already laid out as that n-row block: nothing is transposed.
 The l_p ball uses the exact rejection-free construction: draw g_i with
 density proportional to exp(-|t|^p), an independent exponential W, and map
 g / (sum |g_i|^p + W)^{1/p} onto the ball.
@@ -196,39 +198,39 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicSca
     return IsotropicScale(family=family, n=n, factor=factor)
 
 
-def _columns_gaussian(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
+def _columns_gaussian(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
     return rng.normal_columns(seed, cols, tag, n)
 
 
-def _columns_euclidean_ball(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
+def _columns_euclidean_ball(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
     # Fixed word layout per column: n normal words, then one radius word.
     words = rng.raw_words(seed, cols, tag, n + 1)
-    g = rng.normal_from_words(words[:, :n])
-    norms = np.linalg.norm(g, axis=1)
+    g = rng.normal_from_words(words[:n])
+    norms = np.linalg.norm(g, axis=0)
     # Place the direction g/|g| at radius r * U^{1/n}.
     limit = isotropic_scale("euclidean_ball", n).factor
-    u = rng.uniform_open(words[:, n])
+    u = rng.uniform_open(words[n])
     radius = limit * u ** (1.0 / n)
-    out = g * (radius / norms)[:, None]
+    out = g * (radius / norms)
     # Guard the hard support bound against rounding in the product above.
-    out_norms = np.linalg.norm(out, axis=1)
+    out_norms = np.linalg.norm(out, axis=0)
     over = out_norms > limit
     if np.any(over):
-        out[over] *= (limit / out_norms[over])[:, None]
+        out[:, over] *= limit / out_norms[over]
     return out
 
 
-def _columns_exponential(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
+def _columns_exponential(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
     words = rng.raw_words(seed, cols, tag, n)
     return isotropic_scale("exponential_product", n).factor * rng.laplace_from_words(words)
 
 
-def _columns_rademacher(seed: int, cols: np.ndarray, n: int, tag: int) -> np.ndarray:
+def _columns_rademacher(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
     words = rng.raw_words(seed, cols, tag, n)
     return np.where((words >> np.uint64(63)).astype(bool), 1.0, -1.0)
 
 
-def _columns_lp_ball(seed: int, cols: np.ndarray, n: int, p: float, tag: int) -> np.ndarray:
+def _columns_lp_ball(seed: int, cols: range, n: int, p: float, tag: int) -> np.ndarray:
     factor = isotropic_scale("lp_ball", n, p).factor
     if math.isinf(p):
         words = rng.raw_words(seed, cols, tag, n)
@@ -237,12 +239,25 @@ def _columns_lp_ball(seed: int, cols: np.ndarray, n: int, p: float, tag: int) ->
     # g / (sum|g_i|^p + W)^{1/p} is uniform on the unit l_p ball.  Fixed
     # word layout per column: n magnitude words, n sign words, one W word.
     words = rng.raw_words(seed, cols, tag, 2 * n + 1)
-    u_mag = rng.uniform_open(words[:, :n])
-    signs = np.where((words[:, n : 2 * n] >> np.uint64(63)).astype(bool), 1.0, -1.0)
-    w_exp = rng.exponential_from_words(words[:, 2 * n])
+    u_mag = rng.uniform_open(words[:n])
+    signs = np.where((words[n : 2 * n] >> np.uint64(63)).astype(bool), 1.0, -1.0)
+    w_exp = rng.exponential_from_words(words[2 * n])
     mag = gammaincinv(1.0 / p, u_mag) ** (1.0 / p)
-    denom = (np.sum(mag**p, axis=1) + w_exp) ** (1.0 / p)
-    return factor * signs * mag / denom[:, None]
+    denom = (np.sum(mag**p, axis=0) + w_exp) ** (1.0 / p)
+    return factor * signs * mag / denom
+
+
+def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.ndarray:
+    """Columns ``cols`` (a contiguous range) of `spec`'s matrix, shape (n, len(cols))."""
+    if spec.family == "gaussian":
+        return _columns_gaussian(spec.seed, cols, spec.n, tag)
+    if spec.family == "euclidean_ball":
+        return _columns_euclidean_ball(spec.seed, cols, spec.n, tag)
+    if spec.family == "exponential_product":
+        return _columns_exponential(spec.seed, cols, spec.n, tag)
+    if spec.family == "rademacher_control":
+        return _columns_rademacher(spec.seed, cols, spec.n, tag)
+    return _columns_lp_ball(spec.seed, cols, spec.n, spec.p, tag)
 
 
 def sample_ensemble(spec: EnsembleSpec, _tag: int = rng.TAG_COLUMNS) -> SampleMatrix:
@@ -252,21 +267,9 @@ def sample_ensemble(spec: EnsembleSpec, _tag: int = rng.TAG_COLUMNS) -> SampleMa
     independent draw tied to the same seed (fresh expectation samples) pass a
     distinct tag.
     """
-    n, N = spec.n, spec.N
-    if n * N > MAX_ELEMENTS:
-        raise ResourceError(f"n*N = {n * N} exceeds the sample budget of {MAX_ELEMENTS} entries")
-    cols = np.arange(N, dtype=np.uint64)
-    if spec.family == "gaussian":
-        out = _columns_gaussian(spec.seed, cols, n, _tag)
-    elif spec.family == "euclidean_ball":
-        out = _columns_euclidean_ball(spec.seed, cols, n, _tag)
-    elif spec.family == "exponential_product":
-        out = _columns_exponential(spec.seed, cols, n, _tag)
-    elif spec.family == "rademacher_control":
-        out = _columns_rademacher(spec.seed, cols, n, _tag)
-    else:
-        out = _columns_lp_ball(spec.seed, cols, n, spec.p, _tag)
-    return SampleMatrix(entries=np.ascontiguousarray(out.T), spec=spec)
+    if spec.n * spec.N > MAX_ELEMENTS:
+        raise ResourceError(f"n*N = {spec.n * spec.N} exceeds the sample budget of {MAX_ELEMENTS} entries")
+    return SampleMatrix(entries=_columns(spec, range(spec.N), _tag), spec=spec)
 
 
 def sample_direction_statistics(spec: EnsembleSpec, direction: np.ndarray, T: int) -> DirectionStatistics:

@@ -37,6 +37,7 @@ from .errors import (
     AnalyticUnavailableError,
     ContractError,
     EnumerationBudgetError,
+    NumericalError,
 )
 from .linalg import boundedness_ratio, matrix_norm
 from .sampler import SampleMatrix, sample_ensemble
@@ -160,7 +161,8 @@ def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Solves mean_j exp(|a_ij| s) = 2 per row for s = 1/C (see the module
     docstring).  Returns (values, lo, hi) in C; all-zero rows get value 0
-    with a degenerate bracket.
+    with a degenerate bracket.  Raises NumericalError when a value exceeds
+    the float64 range.
     """
     a = np.abs(np.asarray(arr, dtype=np.float64))
     if a.ndim != 2 or a.shape[1] == 0:
@@ -178,7 +180,10 @@ def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         b = a if live.size == d else a[live]
         b /= scale[:, None]
         lower, upper = _psi1_newton(b, math.log(2.0 * T))
-        lo[live], hi[live] = scale / upper, scale / lower
+        with np.errstate(over="ignore"):
+            lo[live], hi[live] = scale / upper, scale / lower
+        if not np.isfinite(hi).all():
+            raise NumericalError("the psi_1 constant of the samples overflows float64")
     return lo + 0.5 * (hi - lo), lo, hi
 
 
@@ -261,7 +266,7 @@ def probe_directions(n: int, count: int, seed: int) -> np.ndarray:
     """`count` deterministic pseudo-random unit vectors in R^n (rows)."""
     if count <= 0:
         return np.empty((0, n))
-    g = rng.normal_columns(seed, np.arange(count, dtype=np.uint64), rng.TAG_PROBES, n)
+    g = rng.normal_columns(seed, range(count), rng.TAG_PROBES, n).T
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
@@ -340,8 +345,7 @@ def _thresholded_power(e: np.ndarray, m: int, seed: int) -> float:
     largest coordinates, from _POWER_STARTS deterministic pseudo-random
     starting vectors (start k is TAG_SEARCH stream k)."""
     n, N = e.shape
-    z = rng.normal_columns(seed, np.arange(_POWER_STARTS, dtype=np.uint64), rng.TAG_SEARCH, N)
-    z = np.ascontiguousarray(z.T)  # (N, starts)
+    z = rng.normal_columns(seed, range(_POWER_STARTS), rng.TAG_SEARCH, N)  # (N, starts)
 
     def project(w: np.ndarray) -> np.ndarray:
         if m < N:

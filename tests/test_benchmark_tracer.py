@@ -9,8 +9,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from covcon import rng, statistics
 from covcon.sampler import EnsembleSpec, sample_ensemble
 
@@ -33,7 +31,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     tracer.install()
     try:
         assert rng.normal_columns is not original
-        rng.normal_columns(1, np.arange(3), rng.TAG_COLUMNS, 4)
+        rng.normal_columns(1, range(3), rng.TAG_COLUMNS, 4)
     finally:
         tracer.uninstall()
     assert rng.normal_columns is original

@@ -305,12 +305,12 @@ def test_evaluate_all_explicit_overrides():
 
 def test_default_config_frozen_values():
     assert DEFAULT_CONFIG.psi == 1.0 and DEFAULT_CONFIG.K == 1.0 and DEFAULT_CONFIG.t == 1.0
-    assert DEFAULT_CONFIG.C_main == 0.5547446505667847
+    assert DEFAULT_CONFIG.C_main == 0.5430897976748112
     assert DEFAULT_CONFIG.c_prob == 0.35
-    assert DEFAULT_CONFIG.C1 == 1.7975005248428102
-    assert DEFAULT_CONFIG.C2 == 0.6529677436834189
-    assert DEFAULT_CONFIG.C3 == 137.80930750201392
-    assert DEFAULT_CONFIG.C_old == 0.6529677436834189
+    assert DEFAULT_CONFIG.C1 == 1.746519898641664
+    assert DEFAULT_CONFIG.C2 == 0.6578493393141283
+    assert DEFAULT_CONFIG.C3 == 138.83957173769883
+    assert DEFAULT_CONFIG.C_old == 0.6578493393141283
 
 
 def test_default_config_internal_consistency():

@@ -193,6 +193,17 @@ def test_psi1_command_schema(tmp_path):
     assert doc["psi1"] > 0.0
 
 
+def test_psi1_command_overflow_exits_4(tmp_path):
+    # A gaussian file may hold any finite entries; a psi_1 constant beyond
+    # the float64 range is a numerical failure.
+    path = tmp_path / "huge.bin"
+    spec = EnsembleSpec("gaussian", 2, 3, 1)
+    save_matrix(SampleMatrix(entries=np.full((2, 3), 1.7e308), spec=spec), path)
+    proc = run_cli(["psi1", "--matrix", str(path), "--directions", "0"])
+    assert proc.returncode == 4, proc.stderr
+    assert "overflows" in proc.stderr
+
+
 def test_amnorm_command_schema(tmp_path):
     path = tmp_path / "m.bin"
     run_cli(["sample", "--family", "gaussian", "--n", "3", "--N", "16", "--seed", "2", "--out", str(path)])

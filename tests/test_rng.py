@@ -55,15 +55,55 @@ def test_philox_block_matches_numpy():
 
 
 def test_raw_words_match_numpy_streams():
-    # A whole stream with nonzero stream index c2 and tag c3, against numpy's
-    # Philox started at counter (0, 0, c2, c3).  numpy increments before its
-    # first block, so its output begins at our word 4.  The key goes in as a
-    # Python int: a list entry >= 2**63 would pass through float64.
+    # One block of a run of streams, with a nonzero block index c2 and tag
+    # c3, against numpy's Philox started at counter (s0, 0, c2, c3).  numpy
+    # increments c0 before its first block, so its output begins at stream
+    # s0 + 1, and stream s's words sit at 4(s - s0 - 1) .. 4(s - s0 - 1) + 3.
+    # The key goes in as a Python int: a list entry >= 2**63 would pass
+    # through float64.
     for seed in (0, 77, 2**63 + 5, 2**64 - 1):
-        for stream, tag in ((1, 0), (3, rng.TAG_PROBES), (2**40 + 9, rng.TAG_SEARCH)):
-            bitgen = np.random.Philox(counter=[0, 0, stream, tag], key=seed)
-            ours = rng.raw_words(seed, [stream], tag, 40, start=4)[0]
-            assert np.array_equal(ours, bitgen.random_raw(40))
+        for s0, block, tag in ((1, 0, 0), (3, 1, rng.TAG_PROBES), (2**40 + 9, 10, rng.TAG_SEARCH)):
+            bitgen = np.random.Philox(counter=[s0, 0, block, tag], key=seed)
+            ours = rng.raw_words(seed, range(s0 + 1, s0 + 11), tag, 4, start=4 * block)
+            assert np.array_equal(ours, bitgen.random_raw(40).reshape(10, 4).T)
+
+
+def _reference_words(seed, streams, tag, count, start):
+    """raw_words evaluated on philox_block at counter (stream, 0, block, tag)."""
+    c0 = np.array(streams, dtype=np.uint64)[None, :]
+    pos = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    outs = rng.philox_block(c0, np.uint64(0), pos // np.uint64(4), np.uint64(tag), seed)
+    lane = (pos % np.uint64(4)).astype(np.intp)
+    return np.take_along_axis(np.stack(outs, axis=-1), lane[..., None], axis=-1)[..., 0]
+
+
+def test_raw_words_match_reference_layout():
+    # Counter (stream, 0, block, tag): every window of a run of streams is
+    # the reference cipher's block words, word-major.
+    runs = (range(0, 5), range(2**40 + 9, 2**40 + 12), range(2**64 - 3, 2**64))
+    for seed in (0, 2**64 - 1):
+        for streams in runs:
+            for tag in range(4):
+                for start in range(8):
+                    for count in (1, 4, 41):
+                        ours = rng.raw_words(seed, streams, tag, count, start)
+                        assert ours.shape == (count, len(streams)) and ours.dtype == np.uint64
+                        assert np.array_equal(ours, _reference_words(seed, streams, tag, count, start))
+
+
+def test_raw_words_build_one_generator_per_block(monkeypatch):
+    made = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(kwargs["counter"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    # Words 3..12 touch blocks 0..3; 50 streams still make one generator each.
+    rng.raw_words(5, range(7, 57), rng.TAG_COLUMNS, 10, start=3)
+    assert len(made) == 4
+    assert made == [7 + (b << 128) - 1 for b in range(4)]
 
 
 def test_philox_block_broadcasts_counter_words():
@@ -98,32 +138,32 @@ def test_philox_counter_words_are_independent_axes():
 
 
 def test_raw_words_window_consistency():
-    streams = np.arange(3)
+    streams = range(3)
     full = rng.raw_words(99, streams, rng.TAG_COLUMNS, 40)
-    assert full.shape == (3, 40)
+    assert full.shape == (40, 3)
     assert full.dtype == np.uint64
     # A shifted window reads the same underlying stream.
     shifted = rng.raw_words(99, streams, rng.TAG_COLUMNS, 25, start=7)
-    assert np.array_equal(shifted, full[:, 7:32])
+    assert np.array_equal(shifted, full[7:32])
 
 
 def test_words_at_matches_windows():
     streams = np.array([0, 0, 1, 2, 2])
     positions = np.array([0, 11, 3, 4, 30])
-    full = rng.raw_words(5, np.arange(3), rng.TAG_PROBES, 31)
+    full = rng.raw_words(5, range(3), rng.TAG_PROBES, 31)
     picked = rng.words_at(5, streams, rng.TAG_PROBES, positions)
-    expected = np.array([full[s, p] for s, p in zip(streams, positions)])
+    expected = np.array([full[p, s] for s, p in zip(streams, positions)])
     assert np.array_equal(picked, expected)
 
 
 def test_streams_and_tags_are_disjoint():
-    streams = np.arange(2)
+    streams = range(2)
     a = rng.raw_words(7, streams, rng.TAG_COLUMNS, 16)
     b = rng.raw_words(7, streams, rng.TAG_PROBES, 16)
     c = rng.raw_words(8, streams, rng.TAG_COLUMNS, 16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert not np.array_equal(a[0], a[1])
+    assert not np.array_equal(a[:, 0], a[:, 1])
 
 
 def test_uniform_open_range_and_endpoints():
@@ -134,21 +174,21 @@ def test_uniform_open_range_and_endpoints():
     extremes = _u64([0, (1 << 64) - 1])
     for transform in (rng.exponential_from_words, rng.laplace_from_words, rng.normal_from_words):
         assert np.all(np.isfinite(transform(extremes)))
-    words = rng.raw_words(1, np.arange(1), rng.TAG_COLUMNS, 4096)
+    words = rng.raw_words(1, range(1), rng.TAG_COLUMNS, 4096)
     u = rng.uniform_open(words)
     assert np.all((u > 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 0.02
 
 
 def test_uniform_sym_is_centered():
-    words = rng.raw_words(2, np.arange(1), rng.TAG_COLUMNS, 4096)
+    words = rng.raw_words(2, range(1), rng.TAG_COLUMNS, 4096)
     s = rng.uniform_sym(words)
     assert np.all((s > -1.0) & (s < 1.0))
     assert abs(s.mean()) < 0.05
 
 
 def test_exponential_and_laplace_transforms():
-    words = rng.raw_words(3, np.arange(1), rng.TAG_COLUMNS, 100_000)
+    words = rng.raw_words(3, range(1), rng.TAG_COLUMNS, 100_000)
     e = rng.exponential_from_words(words)
     assert np.all(e > 0.0)
     assert abs(e.mean() - 1.0) < 0.02
@@ -158,13 +198,13 @@ def test_exponential_and_laplace_transforms():
 
 
 def test_normal_columns_shape_moments_determinism():
-    streams = np.arange(8)
+    streams = range(8)
     z1 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
     z2 = rng.normal_columns(11, streams, rng.TAG_COLUMNS, 6)
-    assert z1.shape == (8, 6)
+    assert z1.shape == (6, 8)
     assert np.array_equal(z1, z2)
-    assert rng.normal_columns(11, streams, rng.TAG_COLUMNS, 0).shape == (8, 0)
-    big = rng.normal_columns(11, np.arange(4), rng.TAG_COLUMNS, 50_000)
+    assert rng.normal_columns(11, streams, rng.TAG_COLUMNS, 0).shape == (0, 8)
+    big = rng.normal_columns(11, range(4), rng.TAG_COLUMNS, 50_000)
     assert abs(big.mean()) < 0.02
     assert abs(big.var() - 1.0) < 0.02
     assert abs((big**4).mean() - 3.0) < 0.1
@@ -172,22 +212,22 @@ def test_normal_columns_shape_moments_determinism():
 
 def test_normal_columns_read_one_word_per_draw():
     # Draw j of a stream is the inverse normal CDF of word j.
-    streams = np.arange(5)
+    streams = range(5)
     z = rng.normal_columns(21, streams, rng.TAG_COLUMNS, 40)
     words = rng.raw_words(21, streams, rng.TAG_COLUMNS, 40)
     assert np.array_equal(z, rng.normal_from_words(words))
     window = rng.raw_words(21, streams, rng.TAG_COLUMNS, 9, start=31)
-    assert np.array_equal(z[:, 31:], rng.normal_from_words(window))
+    assert np.array_equal(z[31:], rng.normal_from_words(window))
 
 
 def test_normal_columns_prefix_stability():
     # The first draws of a stream do not depend on how many are requested.
-    short = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 10)
-    long = rng.normal_columns(31, np.arange(6), rng.TAG_COLUMNS, 64)
-    assert np.array_equal(short, long[:, :10])
+    short = rng.normal_columns(31, range(6), rng.TAG_COLUMNS, 10)
+    long = rng.normal_columns(31, range(6), rng.TAG_COLUMNS, 64)
+    assert np.array_equal(short, long[:10])
 
 
 def test_gaussian_tail_fraction():
-    z = rng.normal_columns(13, np.arange(2), rng.TAG_COLUMNS, 50_000)
+    z = rng.normal_columns(13, range(2), rng.TAG_COLUMNS, 50_000)
     frac = float((np.abs(z.ravel()) > 1.959963984540054).mean())
     assert math.isclose(frac, 0.05, rel_tol=0.12)

@@ -1,6 +1,7 @@
 """Ensemble sampling: isotropy, supports, determinism, serialization."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -113,18 +114,17 @@ def test_determinism_bitwise():
     )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        EnsembleSpec("gaussian", 5, 40, 21),
-        EnsembleSpec("euclidean_ball", 5, 40, 22),
-        EnsembleSpec("exponential_product", 5, 40, 23),
-        EnsembleSpec("lp_ball", 5, 40, 24, p=1.5),
-        EnsembleSpec("lp_ball", 5, 40, 25, p=math.inf),
-        EnsembleSpec("rademacher_control", 5, 40, 26),
-    ],
-    ids=lambda s: sampler.family_token(s.family, s.p),
-)
+LAYOUT_SPECS = [
+    EnsembleSpec("gaussian", 5, 40, 21),
+    EnsembleSpec("euclidean_ball", 5, 40, 22),
+    EnsembleSpec("exponential_product", 5, 40, 23),
+    EnsembleSpec("lp_ball", 5, 40, 24, p=1.5),
+    EnsembleSpec("lp_ball", 5, 40, 25, p=math.inf),
+    EnsembleSpec("rademacher_control", 5, 40, 26),
+]
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: sampler.family_token(s.family, s.p))
 def test_fixed_word_layout_makes_chunking_exact(spec):
     # Column j reads a fixed window of its own stream, so a narrower draw is
     # exactly a prefix of a wider one.
@@ -134,15 +134,43 @@ def test_fixed_word_layout_makes_chunking_exact(spec):
     n = spec.n
     if spec.family == "gaussian":
         for j in (0, 17):
-            expected = rng.normal_from_words(rng.raw_words(spec.seed, [j], rng.TAG_COLUMNS, n))
-            assert np.array_equal(full[:, j], expected[0])
+            expected = rng.normal_from_words(rng.raw_words(spec.seed, range(j, j + 1), rng.TAG_COLUMNS, n))
+            assert np.array_equal(full[:, j], expected[:, 0])
     elif spec.family == "euclidean_ball":
         # Words 0..n-1 give the direction, word n the radius r U^{1/n}.
-        words = rng.raw_words(spec.seed, np.arange(spec.N), rng.TAG_COLUMNS, n + 1)
-        g = rng.normal_from_words(words[:, :n]).T
-        radius = math.sqrt(n + 2.0) * rng.uniform_open(words[:, n]) ** (1.0 / n)
+        words = rng.raw_words(spec.seed, range(spec.N), rng.TAG_COLUMNS, n + 1)
+        g = rng.normal_from_words(words[:n])
+        radius = math.sqrt(n + 2.0) * rng.uniform_open(words[n]) ** (1.0 / n)
         assert np.allclose(np.linalg.norm(full, axis=0), radius, rtol=1e-13, atol=0.0)
         assert np.allclose(full, g * (radius / np.linalg.norm(g, axis=0)), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: sampler.family_token(s.family, s.p))
+def test_column_ranges_equal_the_full_draw(spec):
+    # Any contiguous range of columns, drawn on its own, is bit-identical to
+    # the same columns of the full matrix: the property chunked sampling
+    # rests on.
+    full = sample_ensemble(spec).entries
+    for j0, j1 in ((1, 2), (3, 11), (13, 40), (39, 40)):
+        chunk = sampler._columns(spec, range(j0, j1))
+        assert chunk.shape == (spec.n, j1 - j0)
+        assert np.array_equal(chunk, full[:, j0:j1])
+    fresh = sample_ensemble(spec, _tag=rng.TAG_FRESH).entries
+    assert np.array_equal(sampler._columns(spec, range(5, 9), rng.TAG_FRESH), fresh[:, 5:9])
+
+
+def test_gaussian_sampling_memory_multiple():
+    # The draw writes the n x N matrix in place; the words and the inverse
+    # CDF's input are the only full-size temporaries.
+    spec = EnsembleSpec("gaussian", 16, 100_000, 3)
+    sample_ensemble(replace(spec, N=64))  # warm up lazily allocated state
+    tracemalloc.start()
+    try:
+        mat = sample_ensemble(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * mat.entries.nbytes
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)

@@ -17,6 +17,7 @@ from covcon.errors import (
     AnalyticUnavailableError,
     ContractError,
     EnumerationBudgetError,
+    NumericalError,
 )
 from covcon.linalg import matrix_norm, operator_deviation
 from covcon.sampler import EnsembleSpec, SampleMatrix, sample_ensemble
@@ -83,6 +84,18 @@ def test_psi1_at_the_ends_of_the_float_range():
     assert math.isfinite(est.value) and lo <= est.value <= hi
     # Two of three terms at amax: (2 exp(s) + 1)/3 = 2, so C = 1e308/ln 2.5.
     assert math.isclose(est.value, 1e308 / math.log(2.5), rel_tol=1e-12)
+
+
+def test_psi1_beyond_the_float_range_raises():
+    # Equal samples give C = a / ln 2, which exceeds the largest float64 for
+    # a = 1.7e308: the mapping C = amax/s must report that, not warn or
+    # return a nan value with an infinite bracket.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows"):
+            psi1_estimate(np.array([1.7e308, 1.7e308]))
+        with pytest.raises(NumericalError):
+            statistics._psi1_rows(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]))
 
 
 def _unit_max_rows():
