@@ -227,7 +227,7 @@ def read_results_csv(path) -> list[CellResult]:
             grouped.setdefault((family, n, N), []).append(report)
     results = []
     for cell, reports in grouped.items():
-        summary = experiments.summarize_reports(cell, tuple(reports), 0.0, bounds.DEFAULT_CONFIG)
+        summary = experiments.summarize_reports(tuple(reports), 0.0)
         results.append(CellResult(cell=cell, reports=tuple(reports), summary=summary))
     return results
 

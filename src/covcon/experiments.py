@@ -103,17 +103,14 @@ class ExperimentGrid:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Aggregates of one cell's trials.  exceedance_count counts trials whose
-    deviation strictly exceeds the envelope evaluated with the measured
-    hypothesis constants; it is None in the wide regime (n > N) where the
-    envelope does not apply."""
+    """Aggregates of one cell's trials.  Exceedances of the envelope are
+    counted by failure_rate, against the constants it is given."""
 
     mean_deviation: float
     median_deviation: float
     max_deviation: float
     psi_hat: float
     k_hat: float
-    exceedance_count: int | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +119,6 @@ class CellSummary:
             "max_deviation": self.max_deviation,
             "psi_hat": self.psi_hat,
             "k_hat": self.k_hat,
-            "exceedance_count": self.exceedance_count,
         }
 
 
@@ -261,30 +257,16 @@ def _trial_report(ci: int, ti: int, token: str, n: int, N: int, seed: int) -> tu
         raise base(f"cell {ci} trial {ti}: {exc}") from exc
 
 
-def summarize_reports(
-    cell: tuple[str, int, int],
-    reports: tuple[DeviationReport, ...],
-    psi_hat: float,
-    cfg: BoundConfig,
-) -> CellSummary:
+def summarize_reports(reports: tuple[DeviationReport, ...], psi_hat: float) -> CellSummary:
     """Recompute the summary aggregates from the trial reports (psi_hat is
     measured from the trial-0 matrix and passed through)."""
-    _, n, N = cell
     devs = np.array([r.deviation for r in reports])
-    k_hat = max(r.boundedness_ratio for r in reports)
-    if n <= N:
-        eff = cfg.with_hypothesis(psi_hat, k_hat)
-        rhs = bounds.theorem1_rhs(eff, n, N)
-        exceedance = int(np.count_nonzero(devs > rhs))
-    else:
-        exceedance = None
     return CellSummary(
         mean_deviation=float(devs.mean()),
         median_deviation=float(np.median(devs)),
         max_deviation=float(devs.max()),
         psi_hat=psi_hat,
-        k_hat=k_hat,
-        exceedance_count=exceedance,
+        k_hat=max(r.boundedness_ratio for r in reports),
     )
 
 
@@ -309,7 +291,7 @@ def _run_cells(grid: ExperimentGrid, cell_indices: list[int], workers: int) -> l
         cell_jobs = flat[k * T : (k + 1) * T]
         reports = tuple(rep for rep, _ in cell_jobs)
         psi_hat = cell_jobs[0][1]
-        summary = summarize_reports(grid.cells[ci], reports, psi_hat, grid.bound_config)
+        summary = summarize_reports(reports, psi_hat)
         results.append(CellResult(cell=grid.cells[ci], reports=reports, summary=summary))
     return results
 

@@ -8,12 +8,13 @@ eigenvalues transported (A A^T then has n - N extra zeros).  Only those two
 eigenvalues are needed, so the measurement path calls LAPACK's symmetric
 eigenvalue routine (numpy.linalg.eigvalsh) and builds no eigenvectors.
 
-sym_eigen, a threshold cyclic Jacobi iteration, is the reference
-eigensolver: quadratically convergent, dependency-free, and with directly
-assertable accuracy invariants (orthogonality, reconstruction, trace).  It
-computes small eigenvalues to high relative accuracy (Demmel & Veselic,
-"Jacobi's method is more accurate than QR", SIAM J. Matrix Anal. Appl. 1992),
-which is why the tests check the LAPACK path against it.  Its
+gram_covariance gives A A^T / N itself as a plain, exactly symmetric n x n
+array.  sym_eigen, a threshold cyclic Jacobi iteration on such an array, is
+the reference eigensolver: quadratically convergent, dependency-free, and
+with directly assertable accuracy invariants (orthogonality, reconstruction,
+trace).  It computes small eigenvalues to high relative accuracy (Demmel &
+Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
+Appl. 1992), which is why the tests check the LAPACK path against it.  Its
 O(dim^3)-per-sweep Python loop is meant for desk scale (dim <= 512).
 """
 
@@ -27,7 +28,6 @@ from .errors import ContractError, NumericalError
 from .sampler import SampleMatrix
 
 __all__ = [
-    "SymMatrix",
     "Spectrum",
     "DeviationReport",
     "gram_covariance",
@@ -41,47 +41,6 @@ __all__ = [
 JACOBI_TOL = 1e-14
 #: Hard cap on full sweeps before declaring non-convergence.
 JACOBI_MAX_SWEEPS = 50
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix stored as the packed upper triangle (row-wise)."""
-
-    dim: int
-    packed: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = self.dim * (self.dim + 1) // 2
-        if self.dim < 1 or self.packed.shape != (expected,):
-            raise ContractError(
-                f"packed length {self.packed.shape} does not match dim {self.dim} (need {expected})"
-            )
-        if not np.isfinite(self.packed).all():
-            raise ContractError("matrix entries contain non-finite values")
-
-    @classmethod
-    def from_full(cls, full: np.ndarray) -> "SymMatrix":
-        """Pack a square array, symmetrizing exactly via (M + M^T)/2."""
-        full = np.asarray(full, dtype=np.float64)
-        if full.ndim != 2 or full.shape[0] != full.shape[1]:
-            raise ContractError(f"expected a square matrix, got shape {full.shape}")
-        dim = full.shape[0]
-        sym = 0.5 * (full + full.T)
-        iu = np.triu_indices(dim)
-        return cls(dim=dim, packed=np.ascontiguousarray(sym[iu]))
-
-    def to_full(self) -> np.ndarray:
-        full = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        full[iu] = self.packed
-        full.T[iu] = self.packed
-        return full
-
-    def frobenius(self) -> float:
-        diag_idx = np.cumsum(np.r_[0, np.arange(self.dim, 1, -1)])
-        diag_sq = float(np.sum(self.packed[diag_idx] ** 2))
-        total = 2.0 * float(np.sum(self.packed**2)) - diag_sq
-        return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -124,10 +83,10 @@ class DeviationReport:
         }
 
 
-def gram_covariance(A: SampleMatrix) -> SymMatrix:
-    """The empirical covariance A A^T / N as an exactly symmetric matrix."""
+def gram_covariance(A: SampleMatrix) -> np.ndarray:
+    """The empirical covariance A A^T / N, an exactly symmetric n x n array."""
     e = A.entries
-    return SymMatrix.from_full((e @ e.T) / A.N)
+    return (e @ e.T) / A.N
 
 
 def _jacobi(full: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -199,9 +158,17 @@ def _jacobi(full: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, 
     )
 
 
-def sym_eigen(M: SymMatrix, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
-    """Full eigendecomposition of a SymMatrix by cyclic Jacobi rotations."""
-    full = M.to_full()
+def sym_eigen(M: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
+    """Full eigendecomposition of the exact symmetrization (M + M^T)/2 of a
+    nonempty, square, finite array, by cyclic Jacobi rotations."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ContractError(f"expected a square matrix, got shape {M.shape}")
+    if M.size == 0:
+        raise ContractError("expected a nonempty matrix, got shape (0, 0)")
+    if not np.isfinite(M).all():
+        raise ContractError("matrix entries contain non-finite values")
+    full = 0.5 * (M + M.T)
     diag, v, _off = _jacobi(full, tol, max_sweeps)
     order = np.argsort(diag, kind="stable")
     eigenvalues = np.ascontiguousarray(diag[order])

@@ -170,9 +170,16 @@ def uniform_sym(words: np.ndarray) -> np.ndarray:
 
 
 def laplace_from_words(words: np.ndarray) -> np.ndarray:
-    """Standard Laplace (density exp(-|t|)/2) by inverse CDF."""
-    w = uniform_open(words) - 0.5
-    return -np.sign(w) * np.log1p(-2.0 * np.abs(w))
+    """Standard Laplace (density exp(-|t|)/2) by inverse CDF: sign(w) times
+    -log1p(-2|w|), with w = u - 1/2 never 0.  Computed in place, so the only
+    full-size floats are w and the output."""
+    w = uniform_open(words)
+    w -= 0.5
+    out = np.abs(w)
+    out *= -2.0
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
+    return np.copysign(out, w, out=out)
 
 
 def exponential_from_words(words: np.ndarray) -> np.ndarray:

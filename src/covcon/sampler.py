@@ -51,7 +51,6 @@ __all__ = [
     "LOG_CONCAVE_FAMILIES",
     "EnsembleSpec",
     "SampleMatrix",
-    "IsotropicScale",
     "DirectionStatistics",
     "isotropic_scale",
     "sample_ensemble",
@@ -114,15 +113,6 @@ class EnsembleSpec:
 
 
 @dataclass(frozen=True)
-class IsotropicScale:
-    """Multiplier taking a canonical unnormalized sample to identity covariance."""
-
-    family: str
-    n: int
-    factor: float
-
-
-@dataclass(frozen=True)
 class SampleMatrix:
     """n x N matrix whose columns are the sampled vectors."""
 
@@ -171,8 +161,9 @@ class DirectionStatistics:
     samples: np.ndarray
 
 
-def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicScale:
-    """The exact factor making `family` isotropic in dimension n."""
+def isotropic_scale(family: str, n: int, p: float | None = None) -> float:
+    """The exact multiplier taking a canonical unnormalized sample of `family`
+    in dimension n to identity covariance."""
     if family not in FAMILIES:
         raise ContractError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if (family == "lp_ball") != (p is not None):
@@ -195,7 +186,7 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> IsotropicSca
             # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
             log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
             factor = float(np.exp(-0.5 * log_var))
-    return IsotropicScale(family=family, n=n, factor=factor)
+    return factor
 
 
 def _columns_gaussian(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
@@ -208,7 +199,7 @@ def _columns_euclidean_ball(seed: int, cols: range, n: int, tag: int) -> np.ndar
     g = rng.normal_from_words(words[:n])
     norms = np.linalg.norm(g, axis=0)
     # Place the direction g/|g| at radius r * U^{1/n}.
-    limit = isotropic_scale("euclidean_ball", n).factor
+    limit = isotropic_scale("euclidean_ball", n)
     u = rng.uniform_open(words[n])
     radius = limit * u ** (1.0 / n)
     out = g * (radius / norms)
@@ -222,7 +213,9 @@ def _columns_euclidean_ball(seed: int, cols: range, n: int, tag: int) -> np.ndar
 
 def _columns_exponential(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
     words = rng.raw_words(seed, cols, tag, n)
-    return isotropic_scale("exponential_product", n).factor * rng.laplace_from_words(words)
+    out = rng.laplace_from_words(words)
+    out *= isotropic_scale("exponential_product", n)
+    return out
 
 
 def _columns_rademacher(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
@@ -231,7 +224,7 @@ def _columns_rademacher(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
 
 
 def _columns_lp_ball(seed: int, cols: range, n: int, p: float, tag: int) -> np.ndarray:
-    factor = isotropic_scale("lp_ball", n, p).factor
+    factor = isotropic_scale("lp_ball", n, p)
     if math.isinf(p):
         words = rng.raw_words(seed, cols, tag, n)
         return factor * rng.uniform_sym(words)
@@ -340,12 +333,12 @@ def _check_support(mat: SampleMatrix) -> None:
     if spec is None:
         return
     if spec.family == "euclidean_ball":
-        limit = isotropic_scale("euclidean_ball", spec.n).factor
+        limit = isotropic_scale("euclidean_ball", spec.n)
         worst = mat.max_column_norm()
         if worst > limit * (1.0 + 1e-12):
             raise ContractError(f"euclidean_ball support violated: column norm {worst} > {limit}")
     elif spec.family == "lp_ball":
-        factor = isotropic_scale("lp_ball", spec.n, spec.p).factor
+        factor = isotropic_scale("lp_ball", spec.n, spec.p)
         scaled = np.abs(mat.entries) / factor
         if math.isinf(spec.p):
             worst = float(scaled.max())

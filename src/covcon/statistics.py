@@ -39,7 +39,7 @@ from .errors import (
     EnumerationBudgetError,
     NumericalError,
 )
-from .linalg import boundedness_ratio, matrix_norm
+from .linalg import boundedness_ratio, gram_covariance, matrix_norm
 from .sampler import SampleMatrix, sample_ensemble
 
 __all__ = [
@@ -659,8 +659,7 @@ def net_sup_deviation(A: SampleMatrix, net: SphereNet) -> float:
     """max over net points y of |<(A A^T/N - I) y, y>|."""
     if net.n != A.n:
         raise ContractError(f"net dimension {net.n} does not match matrix n={A.n}")
-    e = A.entries
-    T = (e @ e.T) / A.N - np.eye(A.n)
+    T = gram_covariance(A) - np.eye(A.n)
     vals = np.einsum("pi,ij,pj->p", net.points, T, net.points)
     return float(np.abs(vals).max())
 

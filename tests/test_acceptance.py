@@ -18,7 +18,6 @@ from conftest import run_cli, write_verification_config
 from covcon.cli import read_results_csv
 from covcon.experiments import scaling_fit
 from covcon.linalg import (
-    SymMatrix,
     boundedness_ratio,
     operator_deviation,
     matrix_norm,
@@ -105,18 +104,18 @@ def test_04_deviation_magnitude_anchor(verification_run):
 
 def test_05_eigensolver_suite():
     start = time.monotonic()
-    spec = sym_eigen(SymMatrix.from_full(np.eye(4)))
+    spec = sym_eigen(np.eye(4))
     assert np.array_equal(spec.eigenvalues, np.ones(4))
-    spec = sym_eigen(SymMatrix.from_full(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    spec = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-12)
-    spec = sym_eigen(SymMatrix.from_full(np.eye(3) + np.ones((3, 3))))
+    spec = sym_eigen(np.eye(3) + np.ones((3, 3)))
     assert np.allclose(spec.eigenvalues, [1.0, 1.0, 4.0], atol=1e-12)
 
     rng = np.random.default_rng(17)
     five = rng.standard_normal((5, 5))
     five = 0.5 * (five + five.T)
     scale = max(1.0, float(np.linalg.norm(five)) ** 5)
-    for lam in sym_eigen(SymMatrix.from_full(five)).eigenvalues:
+    for lam in sym_eigen(five).eigenvalues:
         assert abs(np.linalg.det(five - lam * np.eye(5))) <= 1e-8 * scale
 
     dims = [int(d) for d in np.linspace(2, 32, 85)] + list(range(36, 65, 2))
@@ -124,7 +123,7 @@ def test_05_eigensolver_suite():
     for d in dims:
         full = rng.standard_normal((d, d))
         sym = 0.5 * (full + full.T)
-        spectrum = sym_eigen(SymMatrix.from_full(sym))
+        spectrum = sym_eigen(sym)
         v, lam = spectrum.basis, spectrum.eigenvalues
         norm = max(1.0, float(np.linalg.norm(sym)))
         assert np.all(np.diff(lam) >= 0.0)

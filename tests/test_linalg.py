@@ -12,7 +12,6 @@ import pytest
 from covcon import cli
 from covcon.errors import ContractError, NumericalError
 from covcon.linalg import (
-    SymMatrix,
     boundedness_ratio,
     gram_covariance,
     matrix_norm,
@@ -23,7 +22,7 @@ from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble
 
 
 def _spectrum_of(full):
-    return sym_eigen(SymMatrix.from_full(np.asarray(full, dtype=np.float64)))
+    return sym_eigen(np.asarray(full, dtype=np.float64))
 
 
 def _power_norm(entries, iters=2_000):
@@ -40,27 +39,33 @@ def _power_norm(entries, iters=2_000):
     return math.sqrt(lam)
 
 
-# --- SymMatrix packing -------------------------------------------------------
+# --- symmetric input ---------------------------------------------------------
 
 
-def test_pack_round_trip():
+def test_sym_eigen_symmetrizes_input():
     rng = np.random.default_rng(5)
     full = rng.standard_normal((6, 6))
-    sym = 0.5 * (full + full.T)
-    M = SymMatrix.from_full(full)
-    assert M.dim == 6
-    assert M.packed.shape == (21,)
-    assert np.array_equal(M.to_full(), sym)
-    assert math.isclose(M.frobenius(), float(np.linalg.norm(sym)), rel_tol=1e-13)
+    got = sym_eigen(full)
+    want = sym_eigen(0.5 * (full + full.T))
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.basis, want.basis)
+    assert got.residual == want.residual
 
 
-def test_pack_validation():
+def test_gram_covariance_is_exactly_symmetric():
+    for spec in (EnsembleSpec("gaussian", 7, 50, 5), EnsembleSpec("exponential_product", 33, 20, 6)):
+        G = gram_covariance(sample_ensemble(spec))
+        assert G.shape == (spec.n, spec.n)
+        assert np.array_equal(G, G.T)
+
+
+def test_sym_eigen_validation():
     with pytest.raises(ContractError):
-        SymMatrix(dim=3, packed=np.zeros(5))
+        sym_eigen(np.zeros((0, 0)))
     with pytest.raises(ContractError):
-        SymMatrix.from_full(np.zeros((2, 3)))
+        sym_eigen(np.zeros((2, 3)))
     with pytest.raises(ContractError):
-        SymMatrix.from_full(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # --- eigendecomposition ------------------------------------------------------
@@ -111,7 +116,7 @@ def test_eigen_invariants_random():
 
 
 def test_eigen_reports_non_convergence():
-    M = SymMatrix.from_full(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    M = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(NumericalError, match="off-diagonal"):
         sym_eigen(M, max_sweeps=0)
 
@@ -129,7 +134,7 @@ def test_gram_matches_triple_loop():
             for k in range(11):
                 acc += e[i, k] * e[j, k]
             manual[i, j] = acc / 11
-    got = gram_covariance(A).to_full()
+    got = gram_covariance(A)
     assert np.allclose(got, 0.5 * (manual + manual.T), atol=1e-13)
 
 

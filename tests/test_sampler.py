@@ -66,25 +66,25 @@ def test_memory_budget():
 
 
 def test_scale_gaussian_is_unit():
-    assert isotropic_scale("gaussian", 3).factor == 1.0
-    assert isotropic_scale("rademacher_control", 3).factor == 1.0
+    assert isotropic_scale("gaussian", 3) == 1.0
+    assert isotropic_scale("rademacher_control", 3) == 1.0
 
 
 def test_scale_ball_radius():
     for n in (1, 2, 7, 64):
-        assert math.isclose(isotropic_scale("euclidean_ball", n).factor, math.sqrt(n + 2), rel_tol=1e-14)
+        assert math.isclose(isotropic_scale("euclidean_ball", n), math.sqrt(n + 2), rel_tol=1e-14)
 
 
 def test_scale_cube_is_sqrt3():
-    assert math.isclose(isotropic_scale("lp_ball", 3, p=math.inf).factor, math.sqrt(3.0), rel_tol=1e-10)
+    assert math.isclose(isotropic_scale("lp_ball", 3, p=math.inf), math.sqrt(3.0), rel_tol=1e-10)
 
 
 def test_scale_lp2_matches_ball():
     # The l2 ball through the Gamma-ratio route must agree with the closed
     # radial-moment form used for euclidean_ball.
     for n in (2, 5, 16):
-        via_lp = isotropic_scale("lp_ball", n, p=2.0).factor
-        via_ball = isotropic_scale("euclidean_ball", n).factor
+        via_lp = isotropic_scale("lp_ball", n, p=2.0)
+        via_ball = isotropic_scale("euclidean_ball", n)
         assert math.isclose(via_lp, via_ball, rel_tol=1e-10)
 
 
@@ -159,10 +159,11 @@ def test_column_ranges_equal_the_full_draw(spec):
     assert np.array_equal(sampler._columns(spec, range(5, 9), rng.TAG_FRESH), fresh[:, 5:9])
 
 
-def test_gaussian_sampling_memory_multiple():
+@pytest.mark.parametrize("family", ["gaussian", "exponential_product"])
+def test_sampling_memory_multiple(family):
     # The draw writes the n x N matrix in place; the words and the inverse
     # CDF's input are the only full-size temporaries.
-    spec = EnsembleSpec("gaussian", 16, 100_000, 3)
+    spec = EnsembleSpec(family, 16, 100_000, 3)
     sample_ensemble(replace(spec, N=64))  # warm up lazily allocated state
     tracemalloc.start()
     try:
@@ -201,7 +202,7 @@ def test_ball_support_bound():
 def test_lp_support_bound():
     p = 1.5
     A = sample_ensemble(EnsembleSpec("lp_ball", 3, 512, 5, p=p))
-    factor = isotropic_scale("lp_ball", 3, p=p).factor
+    factor = isotropic_scale("lp_ball", 3, p=p)
     constraint = np.sum((np.abs(A.entries) / factor) ** p, axis=0)
     assert np.all(constraint <= 1.0 + 1e-12)
 
