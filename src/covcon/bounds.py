@@ -29,10 +29,11 @@ the reporting layer; raw formula values are preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .errors import ContractError, RegimeError
+from .records import Record
 
 __all__ = [
     "BoundConfig",
@@ -56,7 +57,7 @@ _LN7 = math.log(7.0)
 
 
 @dataclass(frozen=True)
-class BoundConfig:
+class BoundConfig(Record):
     """Hypothesis constants (psi, K) and absolute constants of the envelopes.
 
     psi     uniform sub-exponential (psi_1) constant of the projections
@@ -81,6 +82,9 @@ class BoundConfig:
     t: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.psi >= 0.0:
             raise ContractError(f"psi must be >= 0, got {self.psi!r}")
         if not self.K >= 1.0:
@@ -97,22 +101,9 @@ class BoundConfig:
         """Same absolute constants, measured hypothesis constants."""
         return replace(self, psi=psi, K=max(1.0, K))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "K": self.K,
-            "C_main": self.C_main,
-            "c_prob": self.c_prob,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "C_old": self.C_old,
-            "t": self.t,
-        }
-
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """One evaluated formula with its attached exceptional-probability term."""
 
     name: str
@@ -127,14 +118,6 @@ class BoundReport:
             raise ContractError(
                 f"probability budget must be clamped to [0, 1], got {self.probability_budget!r}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "probability_budget": self.probability_budget,
-        }
 
 
 def main_probability_budget(cfg: BoundConfig, n: int) -> float:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
@@ -42,10 +42,14 @@ __all__ = [
 ]
 
 CSV_HEADER = "family,n,N,trial,seed,lambda_min,lambda_max,deviation,max_col_norm,boundedness_ratio"
+_CSV_COLUMNS = CSV_HEADER.split(",")
+#: The DeviationReport float fields, written with repr after the seed column.
+_CSV_FLOATS = _CSV_COLUMNS[5:]
 
-_GRID_KEYS = ("cells", "trials_per_cell", "master_seed")
-_BOUND_KEYS = ("psi", "K", "C_main", "c_prob", "C1", "C2", "C3", "C_old", "t")
-_OUTPUT_KEYS = ("output_dir", "emit", "parallelism")
+# Config sections: [grid] is ExperimentGrid without its BoundConfig, which is
+# [bounds]; [output] (below RunConfig) is RunConfig without its grid.
+_GRID_KEYS = tuple(f.name for f in fields(ExperimentGrid) if f.name != "bound_config")
+_BOUND_KEYS = tuple(f.name for f in fields(BoundConfig))
 _EMIT_CHOICES = frozenset({"csv", "json", "svg"})
 
 
@@ -72,8 +76,7 @@ class RunConfig:
             "",
             "[bounds]",
         ]
-        cfg = g.bound_config.to_json_dict()
-        lines += [f"{key} = {cfg[key]!r}" for key in _BOUND_KEYS]
+        lines += [f"{key} = {value!r}" for key, value in g.bound_config.to_json_dict().items()]
         lines += [
             "",
             "[output]",
@@ -83,6 +86,9 @@ class RunConfig:
             "",
         ]
         return "\n".join(lines)
+
+
+_OUTPUT_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "grid")
 
 
 def _parse_cell(token: str) -> tuple[str, int, int]:
@@ -182,22 +188,8 @@ def results_csv_text(results: list[CellResult]) -> str:
     for res in results:
         family, n, N = res.cell
         for trial, r in enumerate(res.reports):
-            lines.append(
-                ",".join(
-                    [
-                        family,
-                        str(n),
-                        str(N),
-                        str(trial),
-                        str(r.seed),
-                        repr(float(r.lambda_min)),
-                        repr(float(r.lambda_max)),
-                        repr(float(r.deviation)),
-                        repr(float(r.max_col_norm)),
-                        repr(float(r.boundedness_ratio)),
-                    ]
-                )
-            )
+            floats = (repr(float(getattr(r, name))) for name in _CSV_FLOATS)
+            lines.append(",".join([family, str(n), str(N), str(trial), str(r.seed), *floats]))
     return "\n".join(lines) + "\n"
 
 
@@ -207,23 +199,15 @@ def read_results_csv(path) -> list[CellResult]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != CSV_HEADER.split(","):
+        if header != _CSV_COLUMNS:
             raise ContractError(f"unexpected results CSV header: {header!r}")
         grouped: dict[tuple[str, int, int], list[DeviationReport]] = {}
         for row in reader:
-            if len(row) != 10:
-                raise ContractError(f"results CSV row has {len(row)} fields, expected 10")
+            if len(row) != len(_CSV_COLUMNS):
+                raise ContractError(f"results CSV row has {len(row)} fields, expected {len(_CSV_COLUMNS)}")
             family, n, N = row[0], int(row[1]), int(row[2])
-            report = DeviationReport(
-                n=n,
-                N=N,
-                lambda_min=float(row[5]),
-                lambda_max=float(row[6]),
-                deviation=float(row[7]),
-                max_col_norm=float(row[8]),
-                boundedness_ratio=float(row[9]),
-                seed=int(row[4]),
-            )
+            floats = {name: float(v) for name, v in zip(_CSV_FLOATS, row[5:])}
+            report = DeviationReport(n=n, N=N, seed=int(row[4]), **floats)
             grouped.setdefault((family, n, N), []).append(report)
     results = []
     for cell, reports in grouped.items():

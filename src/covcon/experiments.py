@@ -30,6 +30,7 @@ from . import bounds, rng, statistics
 from .bounds import BoundConfig
 from .errors import ContractError, NumericalError, RegimeError
 from .linalg import DeviationReport, operator_deviation
+from .records import Record
 from .sampler import EnsembleSpec, parse_family_token, sample_ensemble
 
 __all__ = [
@@ -102,7 +103,7 @@ class ExperimentGrid:
 
 
 @dataclass(frozen=True)
-class CellSummary:
+class CellSummary(Record):
     """Aggregates of one cell's trials.  Exceedances of the envelope are
     counted by failure_rate, against the constants it is given."""
 
@@ -112,35 +113,16 @@ class CellSummary:
     psi_hat: float
     k_hat: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_deviation": self.mean_deviation,
-            "median_deviation": self.median_deviation,
-            "max_deviation": self.max_deviation,
-            "psi_hat": self.psi_hat,
-            "k_hat": self.k_hat,
-        }
-
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     cell: tuple[str, int, int]
     reports: tuple[DeviationReport, ...]
     summary: CellSummary
 
-    def to_json_dict(self) -> dict:
-        family, n, N = self.cell
-        return {
-            "family": family,
-            "n": n,
-            "N": N,
-            "reports": [r.to_json_dict() for r in self.reports],
-            "summary": self.summary.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Record):
     """OLS fit of ln(mean deviation) against ln(n/N) across cells."""
 
     exponent: float
@@ -152,17 +134,9 @@ class ScalingFit:
         if not 0.0 <= self.r_squared <= 1.0:
             raise ContractError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "log_constant": self.log_constant,
-            "r_squared": self.r_squared,
-            "beta_values": list(self.beta_values),
-        }
-
 
 @dataclass(frozen=True)
-class ExceedanceCheck:
+class ExceedanceCheck(Record):
     """Fraction of a cell's trials beating the deviation envelope, against
     the clamped probability budget.  Wide cells are skipped with a note."""
 
@@ -172,21 +146,9 @@ class ExceedanceCheck:
     passed: bool | None
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        family, n, N = self.cell
-        return {
-            "family": family,
-            "n": n,
-            "N": N,
-            "exceedance_fraction": self.exceedance_fraction,
-            "budget": self.budget,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
-class SandwichCheck:
+class SandwichCheck(Record):
     """Per-trial eigenvalue sandwich 1 -+ rhs for lambda/N, per cell."""
 
     cell: tuple[str, int, int]
@@ -195,21 +157,9 @@ class SandwichCheck:
     budget: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        family, n, N = self.cell
-        return {
-            "family": family,
-            "n": n,
-            "N": N,
-            "trial_outcomes": [bool(b) for b in self.trial_outcomes],
-            "fraction_holding": self.fraction_holding,
-            "budget": self.budget,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class Remark2Check:
+class Remark2Check(Record):
     """Wide-regime (N < n) per-cell check of the norm and deviation envelopes.
 
     dev_bound_exceeds_one records the internal consistency requirement that
@@ -223,20 +173,6 @@ class Remark2Check:
     dev_outcomes: tuple[bool, ...]
     dev_bound_exceeds_one: bool
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        family, n, N = self.cell
-        return {
-            "family": family,
-            "n": n,
-            "N": N,
-            "norm_bound": self.norm_bound,
-            "dev_bound": self.dev_bound,
-            "norm_outcomes": [bool(b) for b in self.norm_outcomes],
-            "dev_outcomes": [bool(b) for b in self.dev_outcomes],
-            "dev_bound_exceeds_one": self.dev_bound_exceeds_one,
-            "passed": self.passed,
-        }
 
 
 def _trial_report(ci: int, ti: int, token: str, n: int, N: int, seed: int) -> tuple[DeviationReport, float | None]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
+from .records import Record
 from .sampler import SampleMatrix
 
 __all__ = [
@@ -53,7 +54,7 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(Record):
     """Everything measured from one ensemble draw.
 
     lambda_min / lambda_max are eigenvalues of the *unnormalized* A A^T;
@@ -69,18 +70,6 @@ class DeviationReport:
     max_col_norm: float
     boundedness_ratio: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "deviation": self.deviation,
-            "max_col_norm": self.max_col_norm,
-            "boundedness_ratio": self.boundedness_ratio,
-            "seed": self.seed,
-        }
 
 
 def gram_covariance(A: SampleMatrix) -> np.ndarray:

@@ -120,13 +120,15 @@ class SampleMatrix:
     spec: EnsembleSpec | None = None
 
     def __post_init__(self) -> None:
-        e = self.entries
+        try:
+            e = np.asarray(self.entries, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"entries must be a numeric array: {exc}") from exc
         if e.ndim != 2 or e.size == 0:
             raise ContractError(f"entries must be a nonempty 2-D array, got shape {e.shape}")
         if not np.isfinite(e).all():
             raise ContractError("entries contain non-finite values")
-        if e.dtype != np.float64 or not e.flags["C_CONTIGUOUS"]:
-            object.__setattr__(self, "entries", np.ascontiguousarray(e, dtype=np.float64))
+        object.__setattr__(self, "entries", np.ascontiguousarray(e))
         if self.spec is not None and self.entries.shape != (self.spec.n, self.spec.N):
             raise ContractError(
                 f"entries shape {self.entries.shape} does not match spec ({self.spec.n}, {self.spec.N})"

@@ -40,6 +40,7 @@ from .errors import (
     NumericalError,
 )
 from .linalg import boundedness_ratio, gram_covariance, matrix_norm
+from .records import Record
 from .sampler import SampleMatrix, sample_ensemble
 
 __all__ = [
@@ -82,7 +83,7 @@ class Psi1Estimate:
 
 
 @dataclass(frozen=True)
-class SparseNormProfile:
+class SparseNormProfile(Record):
     """Estimates of A_m = sup{|Az| : z unit, m-sparse} over a geometric m grid."""
 
     m_values: np.ndarray
@@ -91,18 +92,14 @@ class SparseNormProfile:
     certificates: tuple[tuple[int, ...], ...] | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "m_values": [int(m) for m in self.m_values],
-            "a_m": [float(v) for v in self.a_m],
-            "mode": self.mode,
-        }
-        if self.certificates is not None:
-            d["certificates"] = [list(c) for c in self.certificates]
+        d = super().to_json_dict()
+        if self.certificates is None:
+            del d["certificates"]
         return d
 
 
 @dataclass(frozen=True)
-class TruncationSplit:
+class TruncationSplit(Record):
     """Decomposition of the one-direction deviation at truncation level B.
 
     s1: |mean over i of (min(|<X_i,x>|, B)^2 - E min(...)^2)|
@@ -122,22 +119,9 @@ class TruncationSplit:
     big_m: float
     expectation: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "x": [float(v) for v in self.x],
-            "s1": self.s1,
-            "s2": self.s2,
-            "s3": self.s3,
-            "e_b_indices": [int(i) for i in self.e_b_indices],
-            "m_observed": self.m_observed,
-            "big_m": self.big_m,
-            "expectation": self.expectation,
-        }
-
 
 @dataclass(frozen=True)
-class SphereNet:
+class SphereNet(Record):
     """Greedy maximal epsilon-separated point set on the unit sphere."""
 
     n: int
@@ -145,12 +129,7 @@ class SphereNet:
     points: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "size": int(self.points.shape[0]),
-            "points": [[float(v) for v in row] for row in self.points],
-        }
+        return {**super().to_json_dict(), "size": len(self.points)}
 
 
 # --- psi_1 estimation --------------------------------------------------------

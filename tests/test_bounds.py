@@ -47,6 +47,15 @@ def test_config_validation():
         BoundConfig(**{**UNIT.to_json_dict(), "t": 0.5})
 
 
+def test_config_rejects_non_finite_constants():
+    for field in UNIT.to_json_dict():
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ContractError, match=f"^{field} must be finite"):
+                BoundConfig(**{**UNIT.to_json_dict(), field: value})
+    with pytest.raises(ContractError, match="^psi must be finite, got inf"):
+        UNIT.with_hypothesis(math.inf, 1.0)
+
+
 def test_config_round_trip_and_hypothesis():
     assert BoundConfig(**UNIT.to_json_dict()) == UNIT
     swapped = UNIT.with_hypothesis(2.5, 0.3)

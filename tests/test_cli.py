@@ -384,6 +384,17 @@ def test_exit_code_validation_errors(tmp_path):
     assert run_cli(["fit", "--results", str(header_only)]).returncode == 2
 
 
+def test_non_finite_constants_exit_2(tmp_path, capsys):
+    config = tmp_path / "inf.ini"
+    text = small_config(tmp_path / "out").to_text()
+    config.write_text(text.replace(f"C_main = {DEFAULT_CONFIG.C_main!r}", "C_main = inf"))
+    assert cli.main(["experiment", "--config", str(config)]) == 2
+    assert "C_main must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["bounds", "--n", "8", "--N", "64", "--psi", "inf"]) == 2
+    assert "psi must be finite, got inf" in capsys.readouterr().err
+
+
 def test_exit_code_io_errors(tmp_path):
     assert run_cli(["deviation", "--matrix", str(tmp_path / "missing.bin")]).returncode == 3
     target = tmp_path / "no_such_dir" / "x.bin"

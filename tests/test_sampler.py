@@ -51,6 +51,20 @@ def test_spec_rejects_bad_fields():
         EnsembleSpec("gaussian", 2, 2, 0, p=2.0)  # p without lp_ball
 
 
+def test_sample_matrix_takes_array_likes():
+    A = SampleMatrix(entries=[[1.0, 2.0]])
+    assert A.entries.dtype == np.float64 and A.entries.flags["C_CONTIGUOUS"]
+    assert A.entries.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ContractError, match="2-D"):
+        SampleMatrix(entries=[1.0, 2.0])
+    with pytest.raises(ContractError, match="numeric"):
+        SampleMatrix(entries=[[1.0], [2.0, 3.0]])
+    with pytest.raises(ContractError, match="numeric"):
+        SampleMatrix(entries=[["a", "b"]])
+    with pytest.raises(ContractError, match="non-finite"):
+        SampleMatrix(entries=[[1.0, float("nan")]])
+
+
 def test_log_concave_flag():
     assert EnsembleSpec("gaussian", 2, 2, 0).log_concave
     assert EnsembleSpec("lp_ball", 2, 2, 0, p=1.0).log_concave
