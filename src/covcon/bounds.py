@@ -196,19 +196,12 @@ def s3_envelope(cfg: BoundConfig, B: float) -> float:
     return cfg.C2 * cfg.psi**2 * math.exp(-B / cfg.psi)
 
 
-def remark2_bounds(
-    cfg: BoundConfig, n: int, N: int, allow_tall: bool = False
-) -> tuple[float, float]:
+def remark2_bounds(cfg: BoundConfig, n: int, N: int) -> tuple[float, float]:
     """(norm envelope C_main (psi+K) sqrt(n), deviation envelope
     C_main (psi+K)^2 n/N) for the wide regime N < n.
 
-    The formulas remain valid (if loose) for n <= N; pass allow_tall=True
-    to evaluate them there anyway."""
+    The formulas remain valid (if loose) for n <= N."""
     _check_shape(n, N)
-    if n <= N and not allow_tall:
-        raise RegimeError(
-            f"n={n} <= N={N} is the tall regime; use theorem1_rhs, or pass allow_tall=True"
-        )
     s = cfg.psi + cfg.K
     return cfg.C_main * s * math.sqrt(n), cfg.C_main * s * s * n / N
 
@@ -260,9 +253,15 @@ def evaluate_all(
     """Evaluate every applicable formula; used by the CLI `bounds` command.
 
     B and theta default to their chosen values choose_B / choose_theta when
-    the regime admits them; m defaults to min(n, N).
+    the regime admits them; m defaults to min(n, N).  Non-finite B, theta or
+    max_col_norm, and a negative max_col_norm, are refused up front.
     """
     _check_shape(n, N)
+    for name, value in (("B", B), ("theta", theta), ("max_col_norm", max_col_norm)):
+        if value is not None and not math.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value!r}")
+    if not max_col_norm >= 0.0:
+        raise ContractError(f"max_col_norm must be >= 0, got {max_col_norm!r}")
     budget_main = main_probability_budget(cfg, n)
     budget_old = min(1.0, math.exp(-cfg.t * math.sqrt(n)))
     if m is None:
@@ -279,7 +278,7 @@ def evaluate_all(
         # lo may be negative and is reported unclamped in the inputs echo;
         # the report's value is the (nonnegative) half-width.
         add("corollary_interval", {"n": n, "N": N, "lo": lo, "hi": hi}, rhs, budget_main)
-    norm_bound, dev_bound = remark2_bounds(cfg, n, N, allow_tall=True)
+    norm_bound, dev_bound = remark2_bounds(cfg, n, N)
     add("remark2_norm", {"n": n, "N": N}, norm_bound, budget_main)
     add("remark2_dev", {"n": n, "N": N}, dev_bound, budget_main)
     add(

@@ -65,6 +65,15 @@ class RunConfig:
     emit: frozenset
     parallelism: int | str
 
+    def __post_init__(self) -> None:
+        # Refuse a grid the scaling fit would reject before any trial runs.
+        trials, ratios = self.grid.trials_per_cell, sorted({n / N for _, n, N in self.grid.cells})
+        if trials < experiments.FIT_MIN_TRIALS or len(ratios) < experiments.FIT_MIN_RATIOS:
+            raise ConfigError(
+                f"the scaling fit needs >= {experiments.FIT_MIN_TRIALS} trials per cell and >= "
+                f"{experiments.FIT_MIN_RATIOS} distinct n/N ratios; got {trials} trials and ratios {ratios}"
+            )
+
     def to_text(self) -> str:
         g = self.grid
         cells = ", ".join(f"{fam}:{n}:{N}" for fam, n, N in g.cells)
@@ -96,7 +105,6 @@ def _parse_cell(token: str) -> tuple[str, int, int]:
     if len(parts) != 3:
         raise ConfigError(f"cell {token!r} must have the form family:n:N")
     family, n_s, N_s = (p.strip() for p in parts)
-    parse_family_token(family)
     try:
         n, N = int(n_s), int(N_s)
     except ValueError as exc:
@@ -179,7 +187,7 @@ def resolve_workers(parallelism: int | str) -> int:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def results_csv_text(results: list[CellResult]) -> str:
@@ -389,10 +397,6 @@ def _load_bound_config(args) -> BoundConfig:
 
 def cmd_sample(args) -> int:
     family, p = parse_family_token(args.family)
-    if args.p is not None:
-        if p is not None:
-            raise ContractError("give the ball exponent either in the family token or via --p, not both")
-        p = args.p
     spec = EnsembleSpec(family=family, n=args.n, N=args.N, seed=args.seed, p=p)
     save_matrix(sample_ensemble(spec), args.out)
     return 0
@@ -472,11 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw an ensemble and write the binary matrix file")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, help="family token, e.g. gaussian or lp_ball(1.5)")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--seed", required=True, type=_u64)
-    p.add_argument("--p", type=float, default=None, help="lp ball exponent")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sample)
 

@@ -37,6 +37,8 @@ __all__ = [
     "CALIBRATION_MASTER_SEED",
     "VERIFICATION_MASTER_SEED",
     "PSI_PROBE_DIRECTIONS",
+    "FIT_MIN_TRIALS",
+    "FIT_MIN_RATIOS",
     "ExperimentGrid",
     "CellSummary",
     "CellResult",
@@ -62,6 +64,9 @@ VERIFICATION_MASTER_SEED = 0x7E57
 #: Number of pseudo-random probe directions pooled with the coordinate basis
 #: when measuring the empirical psi_1 constant of a cell.
 PSI_PROBE_DIRECTIONS = 16
+#: Least trials per cell and distinct n/N ratios that scaling_fit accepts.
+FIT_MIN_TRIALS = 10
+FIT_MIN_RATIOS = 3
 
 _MASK = (1 << 64) - 1
 _CELL_MULT = 0x9E3779B97F4A7C15
@@ -81,7 +86,8 @@ def derive_seed(master: int, cell_index: int, trial_index: int) -> int:
 @dataclass(frozen=True)
 class ExperimentGrid:
     """A list of (family_token, n, N) cells sharing one trial count, master
-    seed, and bound configuration."""
+    seed, and bound configuration.  Each cell is validated once, as the
+    EnsembleSpec its trials draw from."""
 
     cells: tuple[tuple[str, int, int], ...]
     trials_per_cell: int
@@ -96,10 +102,17 @@ class ExperimentGrid:
             raise ContractError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
         if not 0 <= self.master_seed <= _MASK:
             raise ContractError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        for token, n, N in self.cells:
-            parse_family_token(token)
-            if n < 1 or N < 1:
-                raise ContractError(f"cell ({token}, {n}, {N}) has nonpositive dimensions")
+        for ci in range(len(self.cells)):
+            self.spec(ci, 0)
+
+    def spec(self, cell_index: int, seed: int) -> EnsembleSpec:
+        """The ensemble cell `cell_index` draws with `seed`; an error names the cell."""
+        token, n, N = self.cells[cell_index]
+        try:
+            family, p = parse_family_token(token)
+            return EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
+        except ContractError as exc:
+            raise ContractError(f"cell ({token}, {n}, {N}): {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -175,7 +188,7 @@ class Remark2Check(Record):
     passed: bool
 
 
-def _trial_report(ci: int, ti: int, token: str, n: int, N: int, seed: int) -> tuple[DeviationReport, float | None]:
+def _trial_report(ci: int, ti: int, spec: EnsembleSpec) -> tuple[DeviationReport, float | None]:
     """One full trial: sample the ensemble and measure its spectral deviation.
     Trial 0 of each cell also measures the cell's empirical psi_1 constant on
     the same matrix; other trials return None for it.
@@ -184,8 +197,7 @@ def _trial_report(ci: int, ti: int, token: str, n: int, N: int, seed: int) -> tu
     and trial: a subclass may take other constructor arguments, and a pool
     worker's exception is rebuilt in the parent from its message alone."""
     try:
-        family, p = parse_family_token(token)
-        A = sample_ensemble(EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p))
+        A = sample_ensemble(spec)
         psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS) if ti == 0 else None
         return operator_deviation(A), psi_hat
     except (ContractError, RuntimeError) as exc:
@@ -212,7 +224,7 @@ def _run_cells(grid: ExperimentGrid, cell_indices: list[int], workers: int) -> l
     and psi_hat is the one measured by each cell's trial-0 job."""
     T = grid.trials_per_cell
     jobs = [
-        (ci, ti, *grid.cells[ci], derive_seed(grid.master_seed, ci, ti))
+        (ci, ti, grid.spec(ci, derive_seed(grid.master_seed, ci, ti)))
         for ci in cell_indices
         for ti in range(T)
     ]
@@ -248,7 +260,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 def scaling_fit(results: list[CellResult]) -> ScalingFit:
     """Least-squares slope of ln(mean deviation) against ln(n/N).
 
-    Requires at least 3 distinct n/N ratios, each cell with >= 10 trials.
+    Requires at least FIT_MIN_RATIOS distinct n/N ratios, each cell with at
+    least FIT_MIN_TRIALS trials.
     A flat response (zero variance in the means) fits a constant exactly, so
     its r_squared is reported as 1."""
     if not results:
@@ -256,15 +269,15 @@ def scaling_fit(results: list[CellResult]) -> ScalingFit:
     betas, ys = [], []
     for res in results:
         _, n, N = res.cell
-        if len(res.reports) < 10:
-            raise ContractError(f"cell {res.cell} has {len(res.reports)} trials; the fit needs >= 10")
+        if len(res.reports) < FIT_MIN_TRIALS:
+            raise ContractError(f"cell {res.cell} has {len(res.reports)} trials; the fit needs >= {FIT_MIN_TRIALS}")
         mean_dev = res.summary.mean_deviation
         if not mean_dev > 0.0:
             raise ContractError(f"cell {res.cell} has nonpositive mean deviation {mean_dev!r}")
         betas.append(n / N)
         ys.append(math.log(mean_dev))
-    if len(set(betas)) < 3:
-        raise ContractError(f"fit needs >= 3 distinct n/N ratios, got {sorted(set(betas))}")
+    if len(set(betas)) < FIT_MIN_RATIOS:
+        raise ContractError(f"fit needs >= {FIT_MIN_RATIOS} distinct n/N ratios, got {sorted(set(betas))}")
     x = np.log(np.array(betas))
     y = np.array(ys)
     xc = x - x.mean()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln
@@ -51,14 +51,10 @@ __all__ = [
     "LOG_CONCAVE_FAMILIES",
     "EnsembleSpec",
     "SampleMatrix",
-    "DirectionStatistics",
     "isotropic_scale",
     "sample_ensemble",
-    "sample_direction_statistics",
     "save_matrix",
     "load_matrix",
-    "write_csv",
-    "family_token",
     "parse_family_token",
 ]
 
@@ -153,41 +149,24 @@ class SampleMatrix:
         return float(self.column_norms().max())
 
 
-@dataclass(frozen=True)
-class DirectionStatistics:
-    """Empirical moments of <X, y> for a fixed unit direction y."""
-
-    mean: float
-    variance: float
-    fourth_moment: float
-    samples: np.ndarray
-
-
 def isotropic_scale(family: str, n: int, p: float | None = None) -> float:
     """The exact multiplier taking a canonical unnormalized sample of `family`
-    in dimension n to identity covariance."""
-    if family not in FAMILIES:
-        raise ContractError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if (family == "lp_ball") != (p is not None):
-        raise ContractError(f"p must be given exactly for lp_ball (family={family!r}, p={p!r})")
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
+    in dimension n to identity covariance.  The arguments obey EnsembleSpec's
+    rules."""
+    EnsembleSpec(family=family, n=n, N=1, seed=0, p=p)
     if family == "gaussian" or family == "rademacher_control":
         factor = 1.0
     elif family == "euclidean_ball":
         factor = math.sqrt(n + 2.0)
     elif family == "exponential_product":
         factor = 2.0**-0.5
+    elif math.isinf(p):
+        factor = math.sqrt(3.0)
     else:
-        if not p >= 1.0:
-            raise ContractError(f"lp_ball requires p >= 1, got {p!r}")
-        if math.isinf(p):
-            factor = math.sqrt(3.0)
-        else:
-            # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
-            # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
-            log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
-            factor = float(np.exp(-0.5 * log_var))
+        # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
+        # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
+        log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
+        factor = float(np.exp(-0.5 * log_var))
     return factor
 
 
@@ -267,30 +246,6 @@ def sample_ensemble(spec: EnsembleSpec, _tag: int = rng.TAG_COLUMNS) -> SampleMa
     return SampleMatrix(entries=_columns(spec, range(spec.N), _tag), spec=spec)
 
 
-def sample_direction_statistics(spec: EnsembleSpec, direction: np.ndarray, T: int) -> DirectionStatistics:
-    """Empirical moments of <X, y> over T fresh draws from `spec`'s family.
-
-    The draws reuse the column streams of `spec.seed`, so for T <= N they are
-    exactly the projections of the first T columns of sample_ensemble(spec).
-    """
-    y = np.asarray(direction, dtype=np.float64).ravel()
-    if y.size != spec.n:
-        raise ContractError(f"direction has dimension {y.size}, spec has n={spec.n}")
-    if abs(np.linalg.norm(y) - 1.0) > 1e-12:
-        raise ContractError(f"direction must be a unit vector (|y| = {np.linalg.norm(y)!r})")
-    if T < 1:
-        raise ContractError(f"T must be positive, got {T}")
-    mat = sample_ensemble(replace(spec, N=T))
-    proj = y @ mat.entries
-    mean = float(proj.mean())
-    return DirectionStatistics(
-        mean=mean,
-        variance=float(np.mean((proj - mean) ** 2)),
-        fourth_moment=float(np.mean(proj**4)),
-        samples=proj,
-    )
-
-
 # --- serialization -----------------------------------------------------------
 #
 # Binary layout, version 1: little-endian header
@@ -307,15 +262,8 @@ _FAMILY_TAGS = {name: i for i, name in enumerate(FAMILIES)}
 _TAG_FAMILIES = {i: name for name, i in _FAMILY_TAGS.items()}
 
 
-def family_token(family: str, p: float | None = None) -> str:
-    """Compact family string used in CSV rows and config files."""
-    if family != "lp_ball":
-        return family
-    return f"lp_ball({p:g})"
-
-
 def parse_family_token(token: str) -> tuple[str, float | None]:
-    """Inverse of family_token; accepts e.g. 'gaussian' or 'lp_ball(1.5)'."""
+    """(family, p) of a family token, e.g. 'gaussian' or 'lp_ball(1.5)'."""
     token = token.strip()
     if token.startswith("lp_ball(") and token.endswith(")"):
         text = token[len("lp_ball(") : -1]
@@ -395,11 +343,3 @@ def load_matrix(path) -> SampleMatrix:
     mat = SampleMatrix(entries=entries, spec=spec)
     _check_support(mat)
     return mat
-
-
-def write_csv(mat: SampleMatrix, path) -> None:
-    """Debug export: one CSV column per sampled vector (n rows, N columns)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in mat.entries:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")

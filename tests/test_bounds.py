@@ -235,9 +235,7 @@ def test_remark2_exact_values():
 
 
 def test_remark2_regime_flag():
-    with pytest.raises(RegimeError):
-        remark2_bounds(UNIT, 4, 4)
-    _, dev = remark2_bounds(UNIT, 4, 16, allow_tall=True)
+    _, dev = remark2_bounds(UNIT, 4, 16)
     # In the tall regime the wide deviation formula is the main envelope
     # times another sqrt(n/N).
     assert math.isclose(dev, theorem1_rhs(UNIT, 4, 16) * 0.5, rel_tol=1e-12)

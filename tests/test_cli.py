@@ -136,15 +136,14 @@ def test_sample_writes_deterministic_binary(tmp_path):
 
 
 def test_sample_lp_flag_and_token_agree(tmp_path):
-    via_flag, via_token = tmp_path / "f.bin", tmp_path / "t.bin"
+    # The exponent is given in the family token, as in config cells.
+    out = tmp_path / "t.bin"
     base = ["sample", "--n", "2", "--N", "5", "--seed", "9"]
-    assert run_cli(base + ["--family", "lp_ball", "--p", "1.5", "--out", str(via_flag)]).returncode == 0
-    assert run_cli(base + ["--family", "lp_ball(1.5)", "--out", str(via_token)]).returncode == 0
-    assert via_flag.read_bytes() == via_token.read_bytes()
-    both = run_cli(base + ["--family", "lp_ball(1.5)", "--p", "1.0", "--out", str(via_flag)])
-    assert both.returncode == 2
-    missing = run_cli(base + ["--family", "lp_ball", "--out", str(via_flag)])
+    assert run_cli(base + ["--family", "lp_ball(1.5)", "--out", str(out)]).returncode == 0
+    assert load_matrix(out).spec == EnsembleSpec("lp_ball", 2, 5, 9, p=1.5)
+    missing = run_cli(base + ["--family", "lp_ball", "--out", str(tmp_path / "m.bin")])
     assert missing.returncode == 2
+    assert "lp_ball requires the exponent p" in missing.stderr
 
 
 def test_deviation_identity_oracle(tmp_path):
@@ -393,6 +392,51 @@ def test_non_finite_constants_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert cli.main(["bounds", "--n", "8", "--N", "64", "--psi", "inf"]) == 2
     assert "psi must be finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, name",
+    [
+        ("--B", "inf", "B"),
+        ("--B", "nan", "B"),
+        ("--theta", "inf", "theta"),
+        ("--max-col-norm", "inf", "max_col_norm"),
+        ("--max-col-norm", "-1", "max_col_norm"),
+    ],
+)
+def test_bounds_refuses_non_finite_and_negative_inputs(capsys, option, value, name):
+    assert cli.main(["bounds", "--n", "8", "--N", "64", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {name} must be" in captured.err
+
+
+def test_json_output_refuses_non_finite_floats():
+    with pytest.raises(ValueError):
+        cli._dump_json({"value": math.inf})
+
+
+def test_experiment_refuses_a_bad_cell_before_any_trial(tmp_path, capsys):
+    text = small_config(tmp_path / "out").to_text()
+    config = tmp_path / "bad_cell.ini"
+    config.write_text(text.replace("gaussian:4:256", "gaussian:4:256, lp_ball:4:100"))
+    assert cli.main(["experiment", "--config", str(config)]) == 2
+    assert "cell (lp_ball, 4, 100): lp_ball requires the exponent p" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_unfittable_grid_is_refused_at_parse(tmp_path, capsys):
+    base = small_config(tmp_path / "out").to_text()
+    with pytest.raises(ConfigError, match="got 5 trials"):
+        parse_config(base.replace("trials_per_cell = 10", "trials_per_cell = 5"))
+    two_ratios = base.replace("gaussian:4:256", "gaussian:8:32")
+    with pytest.raises(ConfigError, match=r"ratios \[0.0625, 0.25\]"):
+        parse_config(two_ratios)
+    config = tmp_path / "two_ratios.ini"
+    config.write_text(two_ratios)
+    assert cli.main(["experiment", "--config", str(config)]) == 2
+    assert "distinct n/N ratios" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_io_errors(tmp_path):

@@ -26,6 +26,7 @@ from covcon.experiments import (
     summarize_reports,
 )
 from covcon.linalg import DeviationReport
+from covcon.sampler import EnsembleSpec
 
 
 def _grid(cells, trials=10, master=VERIFICATION_MASTER_SEED, cfg=DEFAULT_CONFIG):
@@ -108,6 +109,29 @@ def test_grid_validation():
         _grid([("gaussian", 0, 4)])
     g = _grid([["gaussian", 2, 4]])  # lists are coerced to tuples
     assert g.cells == (("gaussian", 2, 4),)
+
+
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        (("lp_ball", 4, 100), "lp_ball requires the exponent p"),
+        (("lp_ball(0.5)", 4, 100), "lp_ball requires p >= 1"),
+        (("lp_ball(nan)", 4, 100), "lp_ball requires p >= 1"),
+        (("gaussian", 0, 100), "n must be a positive integer"),
+    ],
+)
+def test_grid_validates_cells_as_ensemble_specs(cell, reason):
+    # A cell is refused when the grid is built, not when its first trial
+    # runs, and the error names the cell.
+    with pytest.raises(ContractError) as info:
+        _grid([("gaussian", 4, 16), cell])
+    assert str(info.value).startswith(f"cell ({cell[0]}, {cell[1]}, {cell[2]}): {reason}")
+
+
+def test_grid_spec_is_the_trial_ensemble():
+    grid = _grid([("gaussian", 4, 16), ("lp_ball(1.5)", 4, 100)])
+    assert grid.spec(1, 7) == EnsembleSpec("lp_ball", 4, 100, 7, p=1.5)
+    assert grid.spec(0, 3) == EnsembleSpec("gaussian", 4, 16, 3)
 
 
 # --- running cells -----------------------------------------------------------
