@@ -225,12 +225,15 @@ def read_results_csv(path) -> list[CellResult]:
 
 
 def bounds_check_json(results: list[CellResult], cfg: BoundConfig) -> str:
-    """Exceedance and sandwich checks; the sandwich covers tall cells only."""
+    """Exceedance and sandwich checks of the tall cells (n <= N) and Remark 2
+    checks of the wide cells (N < n), each list in grid order."""
     tall = [res for res in results if res.cell[1] <= res.cell[2]]
+    wide = [res for res in results if res.cell[1] > res.cell[2]]
     doc = {
         "config": cfg.to_json_dict(),
-        "exceedance": [c.to_json_dict() for c in experiments.failure_rate(results, cfg)],
+        "exceedance": [c.to_json_dict() for c in experiments.failure_rate(tall, cfg)],
         "sandwich": [c.to_json_dict() for c in experiments.bai_yin_sandwich(tall, cfg)],
+        "remark2": [c.to_json_dict() for c in experiments.remark2_checks(wide, cfg)],
     }
     return _dump_json(doc)
 

@@ -28,7 +28,7 @@ class ConfigError(ContractError):
 
 class RegimeError(ContractError):
     """Operation called outside its (n, N) regime (e.g. n > N for the main
-    deviation bound, or N >= n for the singular-regime checks)."""
+    deviation bound)."""
 
 
 class EnumerationBudgetError(ContractError):

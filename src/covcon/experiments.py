@@ -1,10 +1,10 @@
 """Seeded Monte Carlo driver over (family, n, N) grids.
 
 Each trial draws one sample matrix, measures its spectral deviation, and the
-per-cell results feed three kinds of checks: the sqrt(n/N) scaling-law fit,
-exceedance rates against the deviation envelope, and the eigenvalue sandwich.
-The wide regime (N < n) gets its own runner comparing the operator norm and
-deviation against their dimension-driven envelopes.
+per-cell results feed pure check functions: the sqrt(n/N) scaling-law fit,
+and, for tall cells (n <= N), exceedance rates against the deviation envelope
+and the eigenvalue sandwich; for wide cells (N < n), Remark 2's operator-norm
+and deviation envelopes.
 
 Reproducibility contract: every trial's seed is derived up front from
 (master_seed, cell_index, trial_index) by a pure 64-bit mix, so results are
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bounds, rng, statistics
 from .bounds import BoundConfig
-from .errors import ContractError, NumericalError, RegimeError
+from .errors import ContractError, NumericalError
 from .linalg import DeviationReport, operator_deviation
 from .records import Record
 from .sampler import EnsembleSpec, parse_family_token, sample_ensemble
@@ -53,7 +53,7 @@ __all__ = [
     "scaling_fit",
     "failure_rate",
     "bai_yin_sandwich",
-    "remark2_run",
+    "remark2_checks",
     "calibrate_constants",
 ]
 
@@ -95,7 +95,7 @@ class ExperimentGrid:
     bound_config: BoundConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple((str(f), int(n), int(N)) for f, n, N in self.cells))
+        object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
         if not self.cells:
             raise ContractError("grid must contain at least one cell")
         if self.trials_per_cell < 1:
@@ -151,13 +151,12 @@ class ScalingFit(Record):
 @dataclass(frozen=True)
 class ExceedanceCheck(Record):
     """Fraction of a cell's trials beating the deviation envelope, against
-    the clamped probability budget.  Wide cells are skipped with a note."""
+    the clamped probability budget."""
 
     cell: tuple[str, int, int]
-    exceedance_fraction: float | None
+    exceedance_fraction: float
     budget: float
-    passed: bool | None
-    note: str = ""
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -305,23 +304,12 @@ def failure_rate(results: list[CellResult], cfg: BoundConfig) -> list[Exceedance
     envelope, compared to the clamped budget min{1, 2 exp(-c_prob sqrt(n))}.
 
     The hypothesis constants (psi, K) in cfg are replaced per cell by the
-    measured psi_hat / k_hat; cfg supplies the absolute constants.  Wide
-    cells (n > N) are outside the envelope's regime and are skipped."""
+    measured psi_hat / k_hat; cfg supplies the absolute constants.  A wide
+    cell (n > N) raises RegimeError: the envelope applies to n <= N."""
     checks = []
     for res in results:
         _, n, N = res.cell
         budget = bounds.main_probability_budget(cfg, n)
-        if n > N:
-            checks.append(
-                ExceedanceCheck(
-                    cell=res.cell,
-                    exceedance_fraction=None,
-                    budget=budget,
-                    passed=None,
-                    note="wide regime (N < n): envelope not applicable",
-                )
-            )
-            continue
         rhs = bounds.theorem1_rhs(_effective(cfg, res), n, N)
         count = sum(1 for r in res.reports if r.deviation > rhs)
         frac = count / len(res.reports)
@@ -362,16 +350,12 @@ def bai_yin_sandwich(results: list[CellResult], cfg: BoundConfig) -> list[Sandwi
     return checks
 
 
-def remark2_run(grid: ExperimentGrid, cfg: BoundConfig, workers: int = 1) -> list[Remark2Check]:
-    """Wide-regime driver: every cell must have N < n.  Per trial, the
-    operator norm sqrt(lambda_max) is checked against C(psi+K) sqrt(n) and
-    the deviation against C(psi+K)^2 n/N, with measured hypothesis
-    constants."""
-    for token, n, N in grid.cells:
-        if N >= n:
-            raise RegimeError(f"cell ({token}, {n}, {N}) has N >= n; this runner is for the wide regime")
+def remark2_checks(results: list[CellResult], cfg: BoundConfig) -> list[Remark2Check]:
+    """Per-trial check of the wide-regime (N < n) envelopes: the operator
+    norm sqrt(lambda_max) against C(psi+K) sqrt(n) and the deviation against
+    C(psi+K)^2 n/N, with measured hypothesis constants as in failure_rate."""
     checks = []
-    for res in run_grid(grid, workers=workers):
+    for res in results:
         _, n, N = res.cell
         norm_bound, dev_bound = bounds.remark2_bounds(_effective(cfg, res), n, N)
         norms = [math.sqrt(r.lambda_max) for r in res.reports]

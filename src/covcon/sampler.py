@@ -89,9 +89,9 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ContractError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise ContractError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (type(self.N) is int and self.N >= 1):
             raise ContractError(f"N must be a positive integer, got {self.N!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < _SEED_LIMIT):
             raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")

@@ -248,6 +248,41 @@ def test_bundle_files_and_schemas(small_run):
     _validate(json.loads((out / "scaling.json").read_text()), "scaling.json")
     _validate(json.loads((out / "bounds_check.json").read_text()), "bounds_check.json")
     assert parse_config((out / "config.ini").read_text()) == small_run["config"]
+    # A grid of tall cells has no Remark 2 rows, but the key is still written.
+    assert json.loads((out / "bounds_check.json").read_text())["remark2"] == []
+
+
+def test_bundle_checks_tall_and_wide_cells_apart(tmp_path):
+    # Tall cells (n <= N) get the exceedance and sandwich checks, wide cells
+    # (N < n) the Remark 2 checks, each list in grid order.
+    cells = (("gaussian", 4, 16), ("gaussian", 16, 8), ("gaussian", 4, 64), ("gaussian", 8, 256), ("gaussian", 12, 6))
+    grid = ExperimentGrid(cells, 10, experiments.VERIFICATION_MASTER_SEED, DEFAULT_CONFIG)
+    config = RunConfig(grid=grid, output_dir=str(tmp_path / "out"), emit=frozenset({"json"}), parallelism=1)
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(config.to_text())
+    proc = run_cli(["experiment", "--config", str(config_path)])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "out" / "bounds_check.json").read_text())
+    _validate(doc, "bounds_check.json")
+    tall = [[f, n, N] for f, n, N in cells if n <= N]
+    assert [[c["family"], c["n"], c["N"]] for c in doc["exceedance"]] == tall
+    assert [[c["family"], c["n"], c["N"]] for c in doc["sandwich"]] == tall
+    assert [[c["family"], c["n"], c["N"]] for c in doc["remark2"]] == [["gaussian", 16, 8], ["gaussian", 12, 6]]
+
+
+def test_bounds_check_schema_requires_every_record_field():
+    # The schema's required keys follow the records, so a field cannot be
+    # added or dropped on one side only.
+    grid = ExperimentGrid((("gaussian", 2, 8), ("gaussian", 8, 2)), 10, 7, DEFAULT_CONFIG)
+    tall, wide = experiments.run_grid(grid)
+    records = {
+        "exceedance": experiments.failure_rate([tall], DEFAULT_CONFIG)[0],
+        "sandwich": experiments.bai_yin_sandwich([tall], DEFAULT_CONFIG)[0],
+        "remark2": experiments.remark2_checks([wide], DEFAULT_CONFIG)[0],
+    }
+    schema = _schema("bounds_check.json")
+    for key, record in records.items():
+        assert schema["properties"][key]["items"]["required"] == list(record.to_json_dict()), key
 
 
 def test_bundle_csv_layout(small_run):

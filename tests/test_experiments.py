@@ -19,7 +19,7 @@ from covcon.experiments import (
     calibrate_constants,
     derive_seed,
     failure_rate,
-    remark2_run,
+    remark2_checks,
     run_cell,
     run_grid,
     scaling_fit,
@@ -118,6 +118,8 @@ def test_grid_validation():
         (("lp_ball(0.5)", 4, 100), "lp_ball requires p >= 1"),
         (("lp_ball(nan)", 4, 100), "lp_ball requires p >= 1"),
         (("gaussian", 0, 100), "n must be a positive integer"),
+        (("gaussian", 2.7, 8.9), "n must be a positive integer"),
+        (("gaussian", True, 8), "n must be a positive integer"),
     ],
 )
 def test_grid_validates_cells_as_ensemble_specs(cell, reason):
@@ -279,13 +281,11 @@ def test_failure_rate_extremes_and_monotonicity():
     assert fracs == sorted(fracs, reverse=True)
 
 
-def test_failure_rate_skips_wide_cells():
-    grid = _grid([("gaussian", 8, 4)], trials=10)
-    check = failure_rate(run_grid(grid), DEFAULT_CONFIG)[0]
-    assert check.exceedance_fraction is None and check.passed is None
-    assert "wide regime" in check.note
-    d = check.to_json_dict()
-    assert d["passed"] is None and d["note"]
+def test_failure_rate_raises_on_wide_cells():
+    # The deviation envelope holds for n <= N only; wide cells get the
+    # Remark 2 checks instead.
+    with pytest.raises(RegimeError):
+        failure_rate([_fake_result(8, 4, 0.5)], DEFAULT_CONFIG)
 
 
 def test_sandwich_is_equivalent_to_deviation_check():
@@ -302,17 +302,15 @@ def test_sandwich_is_equivalent_to_deviation_check():
         assert check.passed == (check.fraction_holding >= 1.0 - check.budget)
 
 
-def test_remark2_run():
+def test_remark2_checks():
     grid = _grid([("gaussian", 12, 3), ("gaussian", 16, 2)], trials=10)
-    checks = remark2_run(grid, DEFAULT_CONFIG)
+    checks = remark2_checks(run_grid(grid), DEFAULT_CONFIG)
+    assert [c.cell for c in checks] == list(grid.cells)
     for check in checks:
         assert check.dev_bound_exceeds_one
         assert all(check.norm_outcomes)
         assert all(check.dev_outcomes)
         assert check.passed
-    # The runner refuses mixed-regime grids outright.
-    with pytest.raises(RegimeError):
-        remark2_run(_grid([("gaussian", 12, 3), ("gaussian", 4, 8)]), DEFAULT_CONFIG)
 
 
 def test_remark2_single_column_identity():

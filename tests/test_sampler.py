@@ -38,6 +38,10 @@ def test_spec_rejects_bad_fields():
     with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, 0, 0)
     with pytest.raises(ContractError):
+        EnsembleSpec("gaussian", True, 8, 0)  # bool is an int subclass
+    with pytest.raises(ContractError):
+        EnsembleSpec("gaussian", 2, True, 0)
+    with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, 2, -1)
     with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, 2, 1 << 64)
