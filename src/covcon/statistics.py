@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, combinations, islice
 
 import numpy as np
 from scipy.special import betaincc, ndtr
@@ -278,20 +279,44 @@ def boundedness_check(A: SampleMatrix, K: float) -> tuple[float, bool]:
 # --- sparse operator norms ---------------------------------------------------
 
 
-def _top_singular_sq_batch(sub: np.ndarray) -> np.ndarray:
-    """Largest squared singular value for a batch of (b, n, m) submatrices."""
-    b, n, m = sub.shape
-    if m <= n:
-        gram = np.matmul(sub.transpose(0, 2, 1), sub)
-    else:
-        gram = np.matmul(sub, sub.transpose(0, 2, 1))
-    return np.linalg.eigvalsh(gram)[:, -1]
+def _lambda_max_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on the largest eigenvalue of each matrix in a
+    (b, k, k) batch of PSD matrices, from t_6 = tr M^6 and t_8 = tr M^8.
+
+    Each matrix is divided by its trace first, so its eigenvalues lie in
+    [0, 1] and no power overflows.  t_8 >= lambda_max^8 gives the upper
+    bound t_8^(1/8); t_8 / t_6 is a lambda^6-weighted mean of lambda^2, so
+    its square root is a lower bound.  Zero matrices get (0, 0).
+    """
+    trace = np.trace(gram, axis1=1, axis2=2)
+    scale = np.where(trace > 0.0, trace, 1.0)
+    g = gram / scale[:, None, None]
+    g2 = np.matmul(g, g)
+    g4 = np.matmul(g2, g2)
+    t6 = np.einsum("bij,bij->b", g2, g4)
+    t8 = np.einsum("bij,bij->b", g4, g4)
+    lower = np.sqrt(t8 / np.where(t6 > 0.0, t6, 1.0)) * scale
+    return lower, t8**0.125 * scale
+
+
+#: Relative slack of the pruning test, far above the rounding of the bounds
+#: and of eigvalsh.
+_PRUNE_SLACK = 1e-9
 
 
 def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]:
-    """Enumerate all m-column supports; return (A_m, optimal support)."""
-    from itertools import combinations, islice
+    """Enumerate all m-column supports; return (A_m, optimal support).
 
+    The squared norm on a support is lambda_max of its Gram matrix M.  Per
+    chunk of supports in lexicographic order, `_lambda_max_bounds` brackets
+    every lambda_max, and eigvalsh runs only on the supports whose upper
+    bound reaches the floor: the larger of the best value so far and the
+    chunk's largest lower bound.  A pruned support lies strictly below the
+    floor, so it can neither hold nor tie the maximum, and the value and
+    certificate (the first support in lexicographic order that attains the
+    maximum) are those of a full scan: eigvalsh sees the same matrices, only
+    fewer.
+    """
     N = A.N
     total = math.comb(N, m)
     if total > EXACT_ENUMERATION_BUDGET:
@@ -305,16 +330,22 @@ def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]
     best_support: tuple[int, ...] = ()
     chunk_size = max(1, min(4096, (1 << 22) // max(1, A.n * m)))
     while True:
-        chunk = list(islice(combos, chunk_size))
-        if not chunk:
+        idx = np.fromiter(chain.from_iterable(islice(combos, chunk_size)), dtype=np.intp).reshape(-1, m)
+        if not idx.size:
             break
-        idx = np.asarray(chunk, dtype=np.intp)
-        sub = e[:, idx.ravel()].reshape(A.n, len(chunk), m).transpose(1, 0, 2)
-        vals = _top_singular_sq_batch(np.ascontiguousarray(sub))
+        sub = np.ascontiguousarray(e[:, idx.ravel()].reshape(A.n, len(idx), m).transpose(1, 0, 2))
+        # The smaller-side Gram; its top eigenvalue is the squared norm.
+        gram = sub.transpose(0, 2, 1) @ sub if m <= A.n else sub @ sub.transpose(0, 2, 1)
+        lower, upper = _lambda_max_bounds(gram)
+        floor = max(best, float(lower.max()))
+        keep = np.flatnonzero(upper >= floor * (1.0 - _PRUNE_SLACK))
+        if not keep.size:
+            continue
+        vals = np.linalg.eigvalsh(gram[keep])[:, -1]
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])
-            best_support = chunk[k]
+            best_support = tuple(idx[keep[k]].tolist())
     return float(np.sqrt(max(best, 0.0))), best_support
 
 
@@ -348,6 +379,10 @@ def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[in
         raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     if not 1 <= m <= A.N:
         raise ContractError(f"m must satisfy 1 <= m <= N = {A.N}, got {m}")
+    # |e|_F^2 bounds every sub-Gram entry and eigenvalue, so once it is
+    # finite no search below can overflow.
+    if not math.isfinite(float(np.vdot(A.entries, A.entries))):
+        raise ContractError("the squared Frobenius norm of the entries overflows float64")
     if m == 1:
         norms = A.column_norms()
         j = int(np.argmax(norms))

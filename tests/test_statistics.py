@@ -280,6 +280,106 @@ def test_profile_grid_and_certificates():
     assert np.all(greedy.a_m <= prof.a_m + 1e-9)
 
 
+def _full_scan(e, m):
+    """Every m-column support in combinations order through eigvalsh, with
+    the smaller-side Gram laid out as the search lays it out; returns the
+    first maximum as (A_m, support)."""
+    n, N = e.shape
+    supports = np.array(list(combinations(range(N), m)), dtype=np.intp)
+    sub = np.ascontiguousarray(e[:, supports.ravel()].reshape(n, len(supports), m).transpose(1, 0, 2))
+    if m <= n:
+        gram = np.matmul(sub.transpose(0, 2, 1), sub)
+    else:
+        gram = np.matmul(sub, sub.transpose(0, 2, 1))
+    vals = np.linalg.eigvalsh(gram)[:, -1]
+    k = int(np.argmax(vals))
+    return float(np.sqrt(max(vals[k], 0.0))), tuple(int(j) for j in supports[k])
+
+
+def _degenerate_matrices():
+    # N = 16 spreads the supports of the middle m over several chunks, so
+    # ties (all_one ties everywhere) also meet across chunks.
+    base = sample_ensemble(EnsembleSpec("gaussian", 6, 16, 3)).entries
+    return {
+        "duplicate_columns": np.hstack([base[:, :8], base[:, :8]]),
+        "zero_columns": np.where(np.arange(16) % 3 == 0, 0.0, base),
+        "rank_one": np.outer(base[:, 0], base[0]),
+        "all_zero": np.zeros((6, 16)),
+        "all_one": np.ones((6, 16)),
+        "subnormal_gram": base * 1e-160,
+        "large": base * 1e150,
+    }
+
+
+_PRUNED_SHAPES = [(3, 10), (4, 12), (8, 16), (12, 14)]
+_FAMILY_SPECS = [
+    ("gaussian", None),
+    ("euclidean_ball", None),
+    ("exponential_product", None),
+    ("lp_ball", 1.5),
+    ("rademacher_control", None),
+]
+
+
+@pytest.mark.parametrize("family,p", _FAMILY_SPECS)
+def test_pruned_exact_search_equals_full_scan(family, p):
+    # Bit for bit: the value with ==, the certificate as the first maximum.
+    for i, (n, N) in enumerate(_PRUNED_SHAPES):
+        e = sample_ensemble(EnsembleSpec(family, n, N, 70 + i, p=p)).entries
+        for m in range(2, N):
+            assert statistics._sparse_norm_exact(SampleMatrix(e), m) == _full_scan(e, m), (n, N, m)
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_matrices()))
+def test_pruned_exact_search_equals_full_scan_degenerate(name):
+    e = _degenerate_matrices()[name]
+    for m in range(2, e.shape[1]):
+        assert statistics._sparse_norm_exact(SampleMatrix(e), m) == _full_scan(e, m), m
+
+
+def test_lambda_max_bounds_bracket_eigvalsh():
+    gen = np.random.default_rng(17)
+    for k in range(1, 13):
+        for rank in sorted({0, 1, max(1, k // 2), k}):
+            for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+                B = gen.standard_normal((40, k, rank))
+                gram = np.matmul(B, B.transpose(0, 2, 1)) * scale
+                lower, upper = statistics._lambda_max_bounds(gram)
+                top = np.linalg.eigvalsh(gram)[:, -1]
+                assert not (np.isnan(lower).any() or np.isnan(upper).any())
+                assert np.all(lower <= top * (1.0 + 1e-12)), (k, rank, scale)
+                assert np.all(upper >= top * (1.0 - 1e-12)), (k, rank, scale)
+
+
+def test_exact_search_prunes_eigvalsh(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    total = math.comb(16, 8)
+    for family in ("gaussian", "euclidean_ball", "exponential_product"):
+        for seed in (0, 1, 2, 3):
+            seen.clear()
+            A = sample_ensemble(EnsembleSpec(family, 8, 16, seed))
+            sparse_norm(A, 8, "exact")
+            assert sum(seen) <= 0.01 * total, (family, seed, sum(seen))
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_sparse_norm_refuses_gram_overflow(mode):
+    # The entries are finite but their Gram is not: no search may answer.
+    A = SampleMatrix(sample_ensemble(EnsembleSpec("gaussian", 4, 12, 5)).entries * 1e160)
+    for m in (1, 2, 4, 12):
+        with pytest.raises(ContractError, match="Frobenius"):
+            sparse_norm(A, m, mode)
+    with pytest.raises(ContractError, match="Frobenius"):
+        sparse_norm_profile(A, mode)
+
+
 # --- truncation decomposition ------------------------------------------------
 
 
