@@ -165,17 +165,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def resolve_workers(parallelism: int | str) -> int:
-    """COVCON_THREADS overrides the configured parallelism when set; "auto"
-    is the number of CPUs this process may run on."""
-    env = os.environ.get("COVCON_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"COVCON_THREADS must be an integer, got {env!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"COVCON_THREADS must be >= 1, got {workers}")
-        return workers
+    """The configured worker count; "auto" is the number of CPUs this
+    process may run on."""
     if parallelism == "auto":
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))

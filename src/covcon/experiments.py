@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "SandwichCheck",
     "Remark2Check",
     "derive_seed",
-    "run_cell",
     "run_grid",
     "summarize_reports",
     "scaling_fit",
@@ -87,7 +86,8 @@ def derive_seed(master: int, cell_index: int, trial_index: int) -> int:
 class ExperimentGrid:
     """A list of (family_token, n, N) cells sharing one trial count, master
     seed, and bound configuration.  Each cell is validated once, as the
-    EnsembleSpec its trials draw from."""
+    EnsembleSpec its trials draw from, and no cell may repeat: a results CSV
+    is keyed by (family, n, N)."""
 
     cells: tuple[tuple[str, int, int], ...]
     trials_per_cell: int
@@ -102,8 +102,10 @@ class ExperimentGrid:
             raise ContractError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
         if not 0 <= self.master_seed <= _MASK:
             raise ContractError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        for ci in range(len(self.cells)):
+        for ci, (token, n, N) in enumerate(self.cells):
             self.spec(ci, 0)
+            if self.cells.index((token, n, N)) < ci:
+                raise ContractError(f"cell ({token}, {n}, {N}): repeats an earlier cell")
 
     def spec(self, cell_index: int, seed: int) -> EnsembleSpec:
         """The ensemble cell `cell_index` draws with `seed`; an error names the cell."""
@@ -217,14 +219,15 @@ def summarize_reports(reports: tuple[DeviationReport, ...], psi_hat: float) -> C
     )
 
 
-def _run_cells(grid: ExperimentGrid, cell_indices: list[int], workers: int) -> list[CellResult]:
-    """Run every (cell, trial) job in one flat pool and summarize each cell.
-    Reports are canonically ordered by trial index regardless of schedule,
-    and psi_hat is the one measured by each cell's trial-0 job."""
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
+    """Run every (cell, trial) job in one flat pool; results in cell order.
+    Each trial's seed comes from its cell and trial index, and reports are
+    ordered by trial index, so the result is independent of worker count.
+    psi_hat is the one measured by each cell's trial-0 job."""
     T = grid.trials_per_cell
     jobs = [
         (ci, ti, grid.spec(ci, derive_seed(grid.master_seed, ci, ti)))
-        for ci in cell_indices
+        for ci in range(len(grid.cells))
         for ti in range(T)
     ]
     if workers <= 1 or len(jobs) == 1:
@@ -234,26 +237,12 @@ def _run_cells(grid: ExperimentGrid, cell_indices: list[int], workers: int) -> l
             chunk = max(1, len(jobs) // (workers * 4))
             flat = list(pool.map(_trial_report, *zip(*jobs), chunksize=chunk))
     results = []
-    for k, ci in enumerate(cell_indices):
-        cell_jobs = flat[k * T : (k + 1) * T]
+    for ci, cell in enumerate(grid.cells):
+        cell_jobs = flat[ci * T : (ci + 1) * T]
         reports = tuple(rep for rep, _ in cell_jobs)
-        psi_hat = cell_jobs[0][1]
-        summary = summarize_reports(reports, psi_hat)
-        results.append(CellResult(cell=grid.cells[ci], reports=reports, summary=summary))
+        summary = summarize_reports(reports, cell_jobs[0][1])
+        results.append(CellResult(cell=cell, reports=reports, summary=summary))
     return results
-
-
-def run_cell(grid: ExperimentGrid, cell_index: int, workers: int = 1) -> CellResult:
-    """Run all trials of one cell; the result is a pure function of the grid
-    and the index, independent of worker count."""
-    if not 0 <= cell_index < len(grid.cells):
-        raise ContractError(f"cell_index {cell_index} out of range for {len(grid.cells)} cells")
-    return _run_cells(grid, [cell_index], workers)[0]
-
-
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
-    """Run every cell; one flat trial pool, results in cell order."""
-    return _run_cells(grid, list(range(len(grid.cells))), workers)
 
 
 def scaling_fit(results: list[CellResult]) -> ScalingFit:
@@ -393,23 +382,25 @@ def calibrate_constants(
 ) -> tuple[BoundConfig, dict]:
     """Fit the absolute envelope constants on the calibration grid.
 
-    Procedure (all hypothesis constants measured per cell, never assumed):
+    Each requirement is a measurement divided by its `bounds` envelope at
+    unit absolute constants (C_main = c_prob = C1 = C2 = C3 = C_old = t = 1),
+    with the hypothesis constants measured per cell, never assumed:
 
       C_main   1.05 x the largest of: per-tall-cell 99th percentile of
-               deviation / ((psi+K)^2 sqrt(n/N)); per-wide-cell max of
-               norm / ((psi+K) sqrt(n)) and deviation N / ((psi+K)^2 n).
-      c_prob   largest c on a 0.05 grid with min{1, 2 exp(-c sqrt(n))} >=
-               20 max(exceedance fraction, 1/T) in every tall cell.  The
+               deviation / theorem1_rhs; per-wide-cell max of norm and
+               deviation over the two remark2_bounds envelopes.
+      c_prob   largest c on a 0.05 grid whose main_probability_budget is
+               >= 20 max(exceedance fraction, 1/T) in every tall cell.  The
                factor 20 keeps the budget clear of binomial noise when a
                disjoint verification run re-measures the rate with only a
                few dozen trials per cell.
       C1       1.1 x max over families and probe directions of the fourth
                moment of the projection divided by psi_hat^4.
       C2       1.1 x max over families and truncation levels of the analytic
-               expected excess divided by psi_hat^2 exp(-B/psi_hat).
+               expected excess over s3_envelope.
       C_old    max of C2, 0.25, and 1.1 x the sparse-norm requirement
-               (A_m - 6 max|X_i|) / (psi t max{sqrt(m) ln(2N/m), sqrt(n)})
-               over families and support sizes.
+               (A_m - 6 max|X_i|) / thmold_bound(max|X_i| = 0) over families
+               and support sizes.
       C3       1.05 x max(sqrt(8 C1 ln 7), (64/3) ln 7 C_old S) with S the
                shape-factor maximum, making both strict inequalities of the
                Bernstein-vs-net condition hold for every admissible (n, N).
@@ -419,33 +410,27 @@ def calibrate_constants(
     of the intermediate maxima.
     """
     base = bounds.DEFAULT_CONFIG
-    tall_grid = ExperimentGrid(_CAL_TALL, trials, master_seed, base)
-    wide_grid = ExperimentGrid(_CAL_WIDE, trials, master_seed, base)
-    tall = run_grid(tall_grid, workers=workers)
-    wide = run_grid(wide_grid, workers=workers)
+    unit = replace(base, C_main=1.0, c_prob=1.0, C1=1.0, C2=1.0, C3=1.0, C_old=1.0, t=1.0)
+    tall = run_grid(ExperimentGrid(_CAL_TALL, trials, master_seed, base), workers=workers)
+    wide = run_grid(ExperimentGrid(_CAL_WIDE, trials, master_seed, base), workers=workers)
 
     tall_req = 0.0
     for res in tall:
-        _, n, N = res.cell
-        scale = (res.summary.psi_hat + max(1.0, res.summary.k_hat)) ** 2 * math.sqrt(n / N)
-        ratios = np.array([r.deviation for r in res.reports]) / scale
+        rhs = bounds.theorem1_rhs(_effective(unit, res), *res.cell[1:])
+        ratios = np.array([r.deviation for r in res.reports]) / rhs
         tall_req = max(tall_req, float(np.percentile(ratios, 99.0)))
     wide_req = 0.0
     for res in wide:
-        _, n, N = res.cell
-        s = res.summary.psi_hat + max(1.0, res.summary.k_hat)
+        norm_bound, dev_bound = bounds.remark2_bounds(_effective(unit, res), *res.cell[1:])
         for r in res.reports:
-            wide_req = max(wide_req, math.sqrt(r.lambda_max) / (s * math.sqrt(n)))
-            wide_req = max(wide_req, r.deviation * N / (s * s * n))
+            wide_req = max(wide_req, math.sqrt(r.lambda_max) / norm_bound, r.deviation / dev_bound)
     C_main = 1.05 * max(tall_req, wide_req)
 
-    cfg_main = bounds.BoundConfig(
-        psi=1.0, K=1.0, C_main=C_main, c_prob=1.0, C1=1.0, C2=1.0, C3=1.0, C_old=1.0
-    )
+    cfg_main = replace(unit, C_main=C_main)
     worst = [(c.cell[1], max(c.exceedance_fraction, 1.0 / trials)) for c in failure_rate(tall, cfg_main)]
     c_prob = 0.05
     for c in reversed([round(0.05 * k, 2) for k in range(1, 21)]):
-        if all(min(1.0, 2.0 * math.exp(-c * math.sqrt(n))) >= 20.0 * f for n, f in worst):
+        if all(bounds.main_probability_budget(replace(unit, c_prob=c), n) >= 20.0 * f for n, f in worst):
             c_prob = c
             break
 
@@ -464,16 +449,16 @@ def calibrate_constants(
         e1[0] = 1.0
         for B in B_grid:
             s3 = statistics.truncation_split(A, e1, B, psi=psi_hat).s3
-            excess_req = max(excess_req, s3 / (psi_hat**2 * math.exp(-B / psi_hat)))
+            excess_req = max(excess_req, s3 / bounds.s3_envelope(unit.with_hypothesis(psi_hat, 1.0), B))
         for n_s, N_s in ((8, 64), (16, 128)):
             seed_s = derive_seed(master_seed, 2000 + fi, n_s)
             A_s = sample_ensemble(EnsembleSpec(family=family, n=n_s, N=N_s, seed=seed_s))
-            psi_s = statistics.psi1_ensemble(A_s, PSI_PROBE_DIRECTIONS)
+            cfg_s = unit.with_hypothesis(statistics.psi1_ensemble(A_s, PSI_PROBE_DIRECTIONS), 1.0)
             profile = statistics.sparse_norm_profile(A_s, mode="greedy")
             mcn = A_s.max_column_norm()
             for m, a_m in zip(profile.m_values, profile.a_m):
-                core = max(math.sqrt(m) * math.log(2.0 * N_s / m), math.sqrt(n_s))
-                thmold_req = max(thmold_req, (a_m - 6.0 * mcn) / (psi_s * core))
+                envelope = bounds.thmold_bound(cfg_s, m, n_s, N_s, 0.0)
+                thmold_req = max(thmold_req, (a_m - 6.0 * mcn) / envelope)
     C1 = 1.1 * moment_req
     C2 = 1.1 * excess_req
     C_old = max(C2, 0.25, 1.1 * thmold_req)
@@ -482,9 +467,7 @@ def calibrate_constants(
         (64.0 / 3.0) * math.log(7.0) * C_old * _SHAPE_FACTOR_MAX,
     )
 
-    cfg = bounds.BoundConfig(
-        psi=1.0, K=1.0, C_main=C_main, c_prob=c_prob, C1=C1, C2=C2, C3=C3, C_old=C_old, t=1.0
-    )
+    cfg = replace(unit, C_main=C_main, c_prob=c_prob, C1=C1, C2=C2, C3=C3, C_old=C_old)
     for token, n, N in _CAL_TALL:
         B = bounds.choose_B(cfg, n, N)
         theta = bounds.choose_theta(cfg, n, N)

@@ -374,7 +374,12 @@ def _thresholded_power(e: np.ndarray, m: int, seed: int) -> float:
 
 def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[int, ...]]:
     """(A_m, support attaining it); the support is () where greedy mode has
-    no certificate.  m = 1 and m = N are exact in both modes."""
+    no certificate.  m = 1 and m = N are exact in both modes.
+
+    The search runs on the entries scaled by the power of two 2^-k that puts
+    max|e| in [1/2, 1), so neither squares nor power steps under- or
+    overflow, and the value scales back exactly.  The spec is kept: greedy
+    start vectors are seeded by A.seed."""
     if mode not in ("exact", "greedy"):
         raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     if not 1 <= m <= A.N:
@@ -383,15 +388,19 @@ def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[in
     # finite no search below can overflow.
     if not math.isfinite(float(np.vdot(A.entries, A.entries))):
         raise ContractError("the squared Frobenius norm of the entries overflows float64")
+    k = int(np.frexp(np.abs(A.entries).max())[1])
+    A = SampleMatrix(np.ldexp(A.entries, -k), spec=A.spec)
     if m == 1:
         norms = A.column_norms()
         j = int(np.argmax(norms))
-        return float(norms[j]), (j,)
-    if m == A.N:
-        return matrix_norm(A), tuple(range(A.N))
-    if mode == "exact":
-        return _sparse_norm_exact(A, m)
-    return _thresholded_power(A.entries, m, A.seed), ()
+        value, support = norms[j], (j,)
+    elif m == A.N:
+        value, support = matrix_norm(A), tuple(range(A.N))
+    elif mode == "exact":
+        value, support = _sparse_norm_exact(A, m)
+    else:
+        value, support = _thresholded_power(A.entries, m, A.seed), ()
+    return float(np.ldexp(value, k)), support
 
 
 def sparse_norm(A: SampleMatrix, m: int, mode: str = "exact") -> float:

@@ -46,12 +46,12 @@ def run_cli(args, env_extra=None, cwd=None):
     )
 
 
-def write_verification_config(path, output_dir) -> RunConfig:
+def write_verification_config(path, output_dir, parallelism=1) -> RunConfig:
     config = RunConfig(
         grid=verification_grid(),
         output_dir=str(output_dir),
         emit=frozenset({"csv", "json", "svg"}),
-        parallelism=1,
+        parallelism=parallelism,
     )
     path.write_text(config.to_text())
     return config
@@ -63,9 +63,9 @@ def verification_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("verification")
     config_path = base / "run.ini"
     out_dir = base / "out"
-    write_verification_config(config_path, out_dir)
+    write_verification_config(config_path, out_dir, parallelism=8)
     start = time.monotonic()
-    proc = run_cli(["experiment", "--config", str(config_path)], env_extra={"COVCON_THREADS": "8"})
+    proc = run_cli(["experiment", "--config", str(config_path)])
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     return {"dir": out_dir, "config_path": config_path, "elapsed": elapsed}

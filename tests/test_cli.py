@@ -1,10 +1,13 @@
 """Command-line surface: config parsing, schemas, byte-determinism, exit codes."""
 
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -39,14 +42,16 @@ def _validate(doc, schema_name):
     jsonschema.validate(doc, _schema(schema_name))
 
 
-def small_config(output_dir):
+def small_config(output_dir, parallelism=1):
     grid = ExperimentGrid(
         cells=SMALL_CELLS,
         trials_per_cell=10,
         master_seed=experiments.VERIFICATION_MASTER_SEED,
         bound_config=DEFAULT_CONFIG,
     )
-    return RunConfig(grid=grid, output_dir=str(output_dir), emit=frozenset({"csv", "json", "svg"}), parallelism=1)
+    return RunConfig(
+        grid=grid, output_dir=str(output_dir), emit=frozenset({"csv", "json", "svg"}), parallelism=parallelism
+    )
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +74,16 @@ def test_config_round_trip(tmp_path):
     parsed = parse_config(config.to_text())
     assert parsed == config
     assert parsed.grid.bound_config == DEFAULT_CONFIG  # repr floats survive
+
+
+def test_readme_example_config_has_the_default_constants():
+    # README's example INI is the documented way to set the constants; it
+    # must parse and name DEFAULT_CONFIG exactly.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    cfg = parse_config(block).grid.bound_config
+    for f in dataclasses.fields(DEFAULT_CONFIG):
+        assert getattr(cfg, f.name) == getattr(DEFAULT_CONFIG, f.name), f.name
 
 
 def test_config_accepts_hex_seed(tmp_path):
@@ -99,7 +114,6 @@ def test_config_strictness(tmp_path):
 
 
 def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("COVCON_THREADS", raising=False)
     assert resolve_workers(3) == 3
     assert resolve_workers("auto") >= 1
     # "auto" counts the CPUs this process may run on, not all the host has.
@@ -110,14 +124,6 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers("auto") == 64
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert resolve_workers("auto") == 1
-    monkeypatch.setenv("COVCON_THREADS", "4")
-    assert resolve_workers(1) == 4
-    monkeypatch.setenv("COVCON_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_workers(1)
-    monkeypatch.setenv("COVCON_THREADS", "0")
-    with pytest.raises(ConfigError):
-        resolve_workers(1)
 
 
 # --- sample / deviation round trips ------------------------------------------
@@ -296,10 +302,10 @@ def test_bundle_csv_layout(small_run):
 
 def test_bundle_rerun_is_byte_identical(small_run, tmp_path):
     rerun_dir = tmp_path / "rerun"
-    config = small_config(rerun_dir)
+    config = small_config(rerun_dir, parallelism=2)
     config_path = tmp_path / "run.ini"
     config_path.write_text(config.to_text())
-    proc = run_cli(["experiment", "--config", str(config_path)], env_extra={"COVCON_THREADS": "2"})
+    proc = run_cli(["experiment", "--config", str(config_path)])
     assert proc.returncode == 0, proc.stderr
     for name in ("results.csv", "scaling.json", "bounds_check.json", "plot.svg"):
         assert (rerun_dir / name).read_bytes() == (small_run["dir"] / name).read_bytes()
@@ -320,7 +326,7 @@ def test_bundle_identical_across_blas_threads(tmp_path):
         config_path = tmp_path / f"run{threads}.ini"
         config = RunConfig(grid=grid, output_dir=str(out_dir), emit=frozenset({"csv", "json", "svg"}), parallelism=1)
         config_path.write_text(config.to_text())
-        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "COVCON_THREADS": "1"}
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = run_cli(["experiment", "--config", str(config_path)], env_extra=env)
         assert proc.returncode == 0, proc.stderr
         bundles.append(out_dir)

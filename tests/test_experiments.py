@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from covcon import experiments, rng
+from covcon import bounds, experiments, rng
 from covcon.bounds import DEFAULT_CONFIG, BoundConfig, main_probability_budget, theorem1_rhs
 from covcon.errors import ContractError, NumericalError, RegimeError, ResourceError
 from covcon.experiments import (
@@ -20,7 +20,6 @@ from covcon.experiments import (
     derive_seed,
     failure_rate,
     remark2_checks,
-    run_cell,
     run_grid,
     scaling_fit,
     summarize_reports,
@@ -120,6 +119,7 @@ def test_grid_validation():
         (("gaussian", 0, 100), "n must be a positive integer"),
         (("gaussian", 2.7, 8.9), "n must be a positive integer"),
         (("gaussian", True, 8), "n must be a positive integer"),
+        (("gaussian", 4, 16), "repeats an earlier cell"),
     ],
 )
 def test_grid_validates_cells_as_ensemble_specs(cell, reason):
@@ -139,10 +139,10 @@ def test_grid_spec_is_the_trial_ensemble():
 # --- running cells -----------------------------------------------------------
 
 
-def test_run_cell_is_reproducible():
+def test_grid_cell_is_reproducible():
     grid = _grid([("gaussian", 4, 32), ("euclidean_ball", 4, 32)], trials=12)
-    first = run_cell(grid, 1)
-    second = run_cell(grid, 1)
+    first = run_grid(grid)[1]
+    second = run_grid(grid)[1]
     assert first == second
     assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(
         second.to_json_dict(), sort_keys=True
@@ -152,8 +152,6 @@ def test_run_cell_is_reproducible():
     seeds = {r.seed for r in first.reports}
     assert len(seeds) == 12
     assert first.reports[0].seed == derive_seed(grid.master_seed, 1, 0)
-    with pytest.raises(ContractError):
-        run_cell(grid, 2)
 
 
 def test_worker_count_does_not_change_results():
@@ -205,7 +203,7 @@ def test_trial_failure_names_cell_and_trial(monkeypatch, error, base):
 
 def test_summary_recomputable_from_reports():
     grid = _grid([("gaussian", 6, 96)], trials=15)
-    res = run_cell(grid, 0)
+    res = run_grid(grid)[0]
     again = summarize_reports(res.reports, res.summary.psi_hat)
     assert again == res.summary
     devs = sorted(r.deviation for r in res.reports)
@@ -216,13 +214,13 @@ def test_summary_recomputable_from_reports():
 
 def test_wide_cell_summary_skips_exceedance():
     grid = _grid([("gaussian", 8, 4)], trials=10)
-    res = run_cell(grid, 0)
+    res = run_grid(grid)[0]
     assert all(r.deviation >= 1.0 for r in res.reports)
 
 
 def test_median_deviation_tracks_sqrt_beta():
     grid = _grid([("gaussian", 16, 1024)], trials=50)
-    res = run_cell(grid, 0)
+    res = run_grid(grid)[0]
     root_beta = math.sqrt(16.0 / 1024.0)
     assert 1.0 * root_beta <= res.summary.median_deviation <= 4.0 * root_beta
 
@@ -329,3 +327,14 @@ def test_calibration_reproduces_default_config():
     cfg, details = calibrate_constants()
     assert cfg == DEFAULT_CONFIG
     assert details["thmold_requirement"] == 0.0
+
+
+def test_calibration_fits_the_bounds_envelopes(monkeypatch):
+    # C_main is fitted against bounds.theorem1_rhs and bounds.remark2_bounds
+    # themselves: doubling both envelopes halves it, exactly in binary.
+    cfg, _ = calibrate_constants(trials=5)
+    rhs, remark2 = bounds.theorem1_rhs, bounds.remark2_bounds
+    monkeypatch.setattr(bounds, "theorem1_rhs", lambda *args: 2.0 * rhs(*args))
+    monkeypatch.setattr(bounds, "remark2_bounds", lambda *args: tuple(2.0 * v for v in remark2(*args)))
+    doubled, _ = calibrate_constants(trials=5)
+    assert doubled.C_main == cfg.C_main / 2.0

@@ -72,7 +72,7 @@ def record_docs() -> dict:
             "reports": [r.to_json_dict() for r in reports],
         },
         "truncation_split": statistics.truncation_split(A, x, 1.0).to_json_dict(),
-        "cell_result": experiments.run_cell(GRID, 0).to_json_dict(),
+        "cell_result": experiments.run_grid(GRID)[0].to_json_dict(),
         "remark2": [c.to_json_dict() for c in experiments.remark2_checks(experiments.run_grid(wide), DEFAULT_CONFIG)],
     }
 

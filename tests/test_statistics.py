@@ -380,6 +380,32 @@ def test_sparse_norm_refuses_gram_overflow(mode):
         sparse_norm_profile(A, mode)
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("family", ["gaussian", "euclidean_ball", "exponential_product"])
+def test_sparse_norm_profile_is_scale_equivariant(family, mode):
+    # A power-of-two scale is exact, so the profile scales exactly, even
+    # where the squared entries underflow (2^-700) or power steps would
+    # overflow (2^300); the certificates do not move.
+    A = sample_ensemble(EnsembleSpec(family, 4, 12, 5))
+    ref = sparse_norm_profile(A, mode)
+    for c in (2.0**-700, 2.0**-300, 2.0**300):
+        prof = sparse_norm_profile(SampleMatrix(c * A.entries, spec=A.spec), mode)
+        assert np.array_equal(prof.a_m, c * ref.a_m), c
+        assert prof.certificates == ref.certificates
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_sparse_norm_profile_at_extreme_decimal_scales(mode):
+    # Decimal scales round the entries, so the profile agrees to rounding;
+    # at 1e-170 every squared entry underflows to 0.
+    A = sample_ensemble(EnsembleSpec("gaussian", 4, 12, 5))
+    ref = sparse_norm_profile(A, mode).a_m
+    assert np.all(ref > 0.0)
+    for s in (1e-170, 1e-100, 1e100):
+        a_m = sparse_norm_profile(SampleMatrix(s * A.entries, spec=A.spec), mode).a_m / s
+        np.testing.assert_allclose(a_m, ref, rtol=1e-14, atol=0.0, err_msg=f"scale {s}")
+
+
 # --- truncation decomposition ------------------------------------------------
 
 
