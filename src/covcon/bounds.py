@@ -98,8 +98,8 @@ class BoundConfig(Record):
             raise ContractError(f"t must be >= 1, got {self.t!r}")
 
     def with_hypothesis(self, psi: float, K: float) -> "BoundConfig":
-        """Same absolute constants, measured hypothesis constants."""
-        return replace(self, psi=psi, K=max(1.0, K))
+        """Same absolute constants, measured hypothesis constants (K < 1 is raised to 1)."""
+        return replace(self, psi=psi, K=1.0 if K < 1.0 else K)
 
 
 @dataclass(frozen=True)

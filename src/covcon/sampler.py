@@ -58,18 +58,6 @@ __all__ = [
     "parse_family_token",
 ]
 
-FAMILIES = (
-    "gaussian",
-    "euclidean_ball",
-    "exponential_product",
-    "lp_ball",
-    "rademacher_control",
-)
-
-#: Families whose law is log-concave; rademacher_control is the deliberate
-#: exception (its two-point coordinate law has no density).
-LOG_CONCAVE_FAMILIES = frozenset(FAMILIES) - {"rademacher_control"}
-
 #: Memory budget for a single sample matrix (entries, not bytes).
 MAX_ELEMENTS = 1 << 25
 
@@ -170,13 +158,14 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> float:
     return factor
 
 
-def _columns_gaussian(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
-    return rng.normal_columns(seed, cols, tag, n)
+def _columns_gaussian(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+    return rng.normal_columns(spec.seed, cols, tag, spec.n)
 
 
-def _columns_euclidean_ball(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
+def _columns_euclidean_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     # Fixed word layout per column: n normal words, then one radius word.
-    words = rng.raw_words(seed, cols, tag, n + 1)
+    n = spec.n
+    words = rng.raw_words(spec.seed, cols, tag, n + 1)
     g = rng.normal_from_words(words[:n])
     norms = np.linalg.norm(g, axis=0)
     # Place the direction g/|g| at radius r * U^{1/n}.
@@ -192,46 +181,58 @@ def _columns_euclidean_ball(seed: int, cols: range, n: int, tag: int) -> np.ndar
     return out
 
 
-def _columns_exponential(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
-    words = rng.raw_words(seed, cols, tag, n)
+def _columns_exponential(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+    words = rng.raw_words(spec.seed, cols, tag, spec.n)
     out = rng.laplace_from_words(words)
-    out *= isotropic_scale("exponential_product", n)
+    out *= isotropic_scale("exponential_product", spec.n)
     return out
 
 
-def _columns_rademacher(seed: int, cols: range, n: int, tag: int) -> np.ndarray:
-    words = rng.raw_words(seed, cols, tag, n)
+def _columns_rademacher(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+    words = rng.raw_words(spec.seed, cols, tag, spec.n)
     return np.where((words >> np.uint64(63)).astype(bool), 1.0, -1.0)
 
 
-def _columns_lp_ball(seed: int, cols: range, n: int, p: float, tag: int) -> np.ndarray:
+def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+    n, p = spec.n, spec.p
     factor = isotropic_scale("lp_ball", n, p)
     if math.isinf(p):
-        words = rng.raw_words(seed, cols, tag, n)
+        words = rng.raw_words(spec.seed, cols, tag, n)
         return factor * rng.uniform_sym(words)
     # Exact construction: |g_i|^p ~ Gamma(1/p), signs independent, W ~ Exp(1);
     # g / (sum|g_i|^p + W)^{1/p} is uniform on the unit l_p ball.  Fixed
     # word layout per column: n magnitude words, n sign words, one W word.
-    words = rng.raw_words(seed, cols, tag, 2 * n + 1)
+    words = rng.raw_words(spec.seed, cols, tag, 2 * n + 1)
     u_mag = rng.uniform_open(words[:n])
     signs = np.where((words[n : 2 * n] >> np.uint64(63)).astype(bool), 1.0, -1.0)
     w_exp = rng.exponential_from_words(words[2 * n])
-    mag = gammaincinv(1.0 / p, u_mag) ** (1.0 / p)
+    # Where the Gamma(1/p) quantile q underflows (large p), use the leading
+    # term of its p-th root, u Gamma(1 + 1/p), exact to relative order q.
+    q = gammaincinv(1.0 / p, u_mag)
+    mag = np.where(q < np.finfo(np.float64).tiny, u_mag * math.gamma(1.0 + 1.0 / p), q ** (1.0 / p))
     denom = (np.sum(mag**p, axis=0) + w_exp) ** (1.0 / p)
     return factor * signs * mag / denom
 
 
+#: Each family's column draw, in the order of its binary-format tag: append new families last.
+_DRAWS = {
+    "gaussian": _columns_gaussian,
+    "euclidean_ball": _columns_euclidean_ball,
+    "exponential_product": _columns_exponential,
+    "lp_ball": _columns_lp_ball,
+    "rademacher_control": _columns_rademacher,
+}
+
+FAMILIES = tuple(_DRAWS)
+
+#: Families whose law is log-concave; rademacher_control is the deliberate
+#: exception (its two-point coordinate law has no density).
+LOG_CONCAVE_FAMILIES = frozenset(FAMILIES) - {"rademacher_control"}
+
+
 def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.ndarray:
     """Columns ``cols`` (a contiguous range) of `spec`'s matrix, shape (n, len(cols))."""
-    if spec.family == "gaussian":
-        return _columns_gaussian(spec.seed, cols, spec.n, tag)
-    if spec.family == "euclidean_ball":
-        return _columns_euclidean_ball(spec.seed, cols, spec.n, tag)
-    if spec.family == "exponential_product":
-        return _columns_exponential(spec.seed, cols, spec.n, tag)
-    if spec.family == "rademacher_control":
-        return _columns_rademacher(spec.seed, cols, spec.n, tag)
-    return _columns_lp_ball(spec.seed, cols, spec.n, spec.p, tag)
+    return _DRAWS[spec.family](spec, cols, tag)
 
 
 def sample_ensemble(spec: EnsembleSpec, _tag: int = rng.TAG_COLUMNS) -> SampleMatrix:
@@ -259,7 +260,6 @@ MAGIC = b"CVCN"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQIQd")
 _FAMILY_TAGS = {name: i for i, name in enumerate(FAMILIES)}
-_TAG_FAMILIES = {i: name for name, i in _FAMILY_TAGS.items()}
 
 
 def parse_family_token(token: str) -> tuple[str, float | None]:
@@ -329,9 +329,9 @@ def load_matrix(path) -> SampleMatrix:
         raise ContractError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported format version {version}")
-    if tag not in _TAG_FAMILIES:
+    if tag >= len(FAMILIES):
         raise ContractError(f"{path}: unknown family tag {tag}")
-    family = _TAG_FAMILIES[tag]
+    family = FAMILIES[tag]
     expected = _HEADER.size + 8 * n * N
     if len(blob) != expected:
         raise ContractError(f"{path}: expected {expected} bytes, found {len(blob)}")

@@ -260,9 +260,7 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     """
     if directions < 0:
         raise ContractError(f"directions must be >= 0, got {directions}")
-    probes = np.eye(A.n)
-    if directions > 0:
-        probes = np.vstack([probes, probe_directions(A.n, directions, A.seed)])
+    probes = np.vstack([np.eye(A.n), probe_directions(A.n, directions, A.seed)])
     proj = probes @ A.entries
     values, _, _ = _psi1_rows(proj)
     return float(values.max())
@@ -499,6 +497,16 @@ def _analytic_excess(A: SampleMatrix, x: np.ndarray, B: float) -> float:
     )
 
 
+def _truncated_moments(proj: np.ndarray, B: float) -> tuple[np.ndarray, float, float]:
+    """E_B = {i : |p_i| >= B}, the mean of min(|p|, B)^2, and
+    sum over E_B of (p_i^2 - B^2) / len(p); at B = inf, E_B is empty."""
+    absp = np.abs(proj)
+    e_b = np.nonzero(absp >= B)[0].astype(np.int64)
+    trunc_sq = float(np.mean(np.minimum(absp, B) ** 2))
+    excess = float(np.sum(proj[e_b] ** 2 - B * B)) / proj.size
+    return e_b, trunc_sq, excess
+
+
 def direction_deviation(A: SampleMatrix, x: np.ndarray) -> float:
     """S(x) = |(1/N) sum <X_i, x>^2 - 1|, the deviation along one direction."""
     proj = np.asarray(x, dtype=np.float64) @ A.entries
@@ -519,10 +527,11 @@ def truncation_split(
     (`analytic_isotropic`; available for gaussian and euclidean_ball at any
     direction, exponential_product along coordinate directions) or from an
     independent fresh sample of size `fresh_T` drawn from the matrix seed in
-    a separate counter namespace.  Fresh-sample expectations are rescaled by
-    the fresh sample's second moment, so the truncated and excess parts sum
-    to exactly 1 (the isotropic value) and the recombination inequality
-    S(x) <= s1 + s2 + s3 holds to rounding.
+    a separate counter namespace.  A fresh-sample expectation is the same
+    truncated-moment rule that gives the sample's terms, applied to the fresh
+    projections and divided by their second moment, so the truncated and
+    excess parts sum to 1 (the isotropic value) up to rounding and the
+    recombination inequality S(x) <= s1 + s2 + s3 holds to rounding.
 
     `psi` enters only the big_m field (M = max{psi^2 n, max|X_i|^2}); when
     omitted it is estimated from the matrix along basis directions.
@@ -537,17 +546,7 @@ def truncation_split(
     if expectation not in ("analytic_isotropic", "fresh_sample"):
         raise ContractError(f"unknown expectation mode {expectation!r}")
 
-    proj = x @ A.entries
-    absp = np.abs(proj)
-    if math.isinf(B):
-        e_b = np.empty(0, dtype=np.int64)
-        trunc_sq = proj**2
-        s2 = 0.0
-    else:
-        e_b = np.nonzero(absp >= B)[0].astype(np.int64)
-        trunc_sq = np.minimum(absp, B) ** 2
-        s2 = float(np.sum(proj[e_b] ** 2 - B * B)) / A.N
-
+    e_b, trunc_sq, s2 = _truncated_moments(x @ A.entries, B)
     if expectation == "analytic_isotropic":
         s3 = float(_analytic_excess(A, x, B))
         expected_trunc_sq = 1.0 - s3
@@ -559,15 +558,8 @@ def truncation_split(
         m2 = float(np.mean(fp**2))
         if m2 == 0.0:
             raise ContractError("fresh sample has zero second moment along x")
-        if math.isinf(B):
-            s3 = 0.0
-            expected_trunc_sq = 1.0
-        else:
-            afp = np.abs(fp)
-            s3 = float(np.mean((fp**2 - B * B) * (afp >= B))) / m2
-            expected_trunc_sq = float(np.mean(np.minimum(afp, B) ** 2)) / m2
-
-    s1 = abs(float(np.mean(trunc_sq)) - expected_trunc_sq)
+        expected_trunc_sq, s3 = (value / m2 for value in _truncated_moments(fp, B)[1:])
+    s1 = abs(trunc_sq - expected_trunc_sq)
 
     if psi is None:
         psi = psi1_ensemble(A, 0)

@@ -54,6 +54,9 @@ def test_config_rejects_non_finite_constants():
                 BoundConfig(**{**UNIT.to_json_dict(), field: value})
     with pytest.raises(ContractError, match="^psi must be finite, got inf"):
         UNIT.with_hypothesis(math.inf, 1.0)
+    # The K clamp must not swallow NaN (max(1.0, nan) is 1.0).
+    with pytest.raises(ContractError, match="^K must be finite, got nan"):
+        UNIT.with_hypothesis(1.0, math.nan)
 
 
 def test_config_round_trip_and_hypothesis():

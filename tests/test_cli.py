@@ -433,6 +433,9 @@ def test_non_finite_constants_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert cli.main(["bounds", "--n", "8", "--N", "64", "--psi", "inf"]) == 2
     assert "psi must be finite, got inf" in capsys.readouterr().err
+    assert cli.main(["bounds", "--n", "4", "--N", "16", "--K", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "K must be finite, got nan" in captured.err
 
 
 @pytest.mark.parametrize(

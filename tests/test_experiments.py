@@ -25,7 +25,8 @@ from covcon.experiments import (
     summarize_reports,
 )
 from covcon.linalg import DeviationReport
-from covcon.sampler import EnsembleSpec
+from covcon.sampler import EnsembleSpec, sample_ensemble
+from covcon.statistics import psi1_ensemble
 
 
 def _grid(cells, trials=10, master=VERIFICATION_MASTER_SEED, cfg=DEFAULT_CONFIG):
@@ -152,6 +153,18 @@ def test_grid_cell_is_reproducible():
     seeds = {r.seed for r in first.reports}
     assert len(seeds) == 12
     assert first.reports[0].seed == derive_seed(grid.master_seed, 1, 0)
+
+
+def test_psi_hat_reads_a_fixed_column_budget():
+    # A cell wider than the budget measures psi_1 on its first
+    # PSI_SAMPLE_COLUMNS columns, with the probes of the trial's own seed.
+    grid = _grid([("gaussian", 2, 70_000), ("gaussian", 2, 300)], trials=1)
+    wide, narrow = run_grid(grid)
+    k = experiments.PSI_SAMPLE_COLUMNS
+    assert k == 65_536
+    for ci, (result, N) in enumerate(((wide, k), (narrow, 300))):
+        A = sample_ensemble(EnsembleSpec("gaussian", 2, N, derive_seed(grid.master_seed, ci, 0)))
+        assert result.summary.psi_hat == psi1_ensemble(A, experiments.PSI_PROBE_DIRECTIONS)
 
 
 def test_worker_count_does_not_change_results():

@@ -179,6 +179,40 @@ def test_column_ranges_equal_the_full_draw(spec):
     assert np.array_equal(sampler._columns(spec, range(5, 9), rng.TAG_FRESH), fresh[:, 5:9])
 
 
+WORDS_PER_COLUMN = {
+    "gaussian": lambda n: n,
+    "euclidean_ball": lambda n: n + 1,
+    "exponential_product": lambda n: n,
+    "lp_ball(1.5)": lambda n: 2 * n + 1,
+    "lp_ball(inf)": lambda n: n,
+    "rademacher_control": lambda n: n,
+}
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=_token)
+def test_each_family_reads_its_documented_words(spec, monkeypatch):
+    calls = []
+    raw_words = rng.raw_words
+
+    def spy(seed, streams, tag, count, start=0):
+        calls.append((seed, streams, tag, count, start))
+        return raw_words(seed, streams, tag, count, start)
+
+    monkeypatch.setattr(rng, "raw_words", spy)
+    sample_ensemble(spec)
+    count = WORDS_PER_COLUMN[_token(spec)](spec.n)
+    assert calls == [(spec.seed, range(spec.N), rng.TAG_COLUMNS, count, 0)]
+
+
+@pytest.mark.parametrize("p", [800.0, 2000.0, 1e5])
+def test_lp_ball_stays_isotropic_at_large_p(p):
+    # The Gamma(1/p) quantile underflows here; the draw must not collapse
+    # coordinates to 0.
+    A = sample_ensemble(EnsembleSpec("lp_ball", 4, 50_000, 3, p=p))
+    assert np.count_nonzero(A.entries == 0.0) == 0
+    assert np.all(np.abs((A.entries**2).mean(axis=1) - 1.0) <= 0.03)
+
+
 @pytest.mark.parametrize("family", ["gaussian", "exponential_product"])
 def test_sampling_memory_multiple(family):
     # The draw writes the n x N matrix in place; the words and the inverse
@@ -271,6 +305,31 @@ def test_binary_round_trip(tmp_path):
         assert np.array_equal(A.entries, B.entries)
         with open(path, "rb") as fh:
             assert fh.read(4) == b"CVCN"
+
+
+def test_saved_family_tags_are_stable(tmp_path):
+    # Files already written name their family by position in FAMILIES, so
+    # the tags never move; a new family takes the next tag.
+    expected = {
+        "gaussian": 0,
+        "euclidean_ball": 1,
+        "exponential_product": 2,
+        "lp_ball": 3,
+        "rademacher_control": 4,
+    }
+    assert sampler.FAMILIES == tuple(expected)
+    for family, tag in expected.items():
+        spec = EnsembleSpec(family, 2, 3, 5, p=1.5 if family == "lp_ball" else None)
+        path = tmp_path / f"{family}.bin"
+        save_matrix(sample_ensemble(spec), path)
+        header = sampler._HEADER.unpack_from(path.read_bytes())
+        assert header[4] == tag
+        assert load_matrix(path).spec == spec
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = (len(expected)).to_bytes(4, "little")  # the family tag field
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match="unknown family tag 5"):
+        load_matrix(path)
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -490,6 +490,15 @@ def test_split_limits():
     assert at_inf.m_observed == 0
     assert at_inf.s2 == 0.0 and at_inf.s3 == 0.0
     assert math.isclose(at_inf.s1, direction_deviation(A, x), rel_tol=1e-12)
+    # The fresh expectation applies the sample's own truncated-moment rule,
+    # so both limits come out exactly.
+    fresh_inf = truncation_split(A, x, math.inf, expectation="fresh_sample", fresh_T=4096)
+    assert fresh_inf.m_observed == 0
+    assert fresh_inf.s2 == 0.0 and fresh_inf.s3 == 0.0
+    assert fresh_inf.s1 == direction_deviation(A, x)
+    fresh_zero = truncation_split(A, x, 0.0, expectation="fresh_sample", fresh_T=4096)
+    assert fresh_zero.m_observed == 50
+    assert fresh_zero.s3 == 1.0 and fresh_zero.s1 == 0.0
 
 
 def test_analytic_unavailable_routes():
