@@ -79,7 +79,7 @@ def derive_seed(master: int, cell_index: int, trial_index: int) -> int:
     """Per-trial seed: SplitMix64 step of master XOR odd-multiplier-spread
     cell and trial indices.  Pure, order-free, bit-exact across platforms."""
     for name, value in (("master", master), ("cell_index", cell_index), ("trial_index", trial_index)):
-        if not 0 <= value <= _MASK:
+        if not (type(value) is int and 0 <= value <= _MASK):
             raise ContractError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     mixed = master ^ ((cell_index * _CELL_MULT) & _MASK) ^ ((trial_index * _TRIAL_MULT) & _MASK)
     return rng.splitmix64(mixed)
@@ -101,9 +101,9 @@ class ExperimentGrid:
         object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
         if not self.cells:
             raise ContractError("grid must contain at least one cell")
-        if self.trials_per_cell < 1:
-            raise ContractError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
-        if not 0 <= self.master_seed <= _MASK:
+        if not (type(self.trials_per_cell) is int and self.trials_per_cell >= 1):
+            raise ContractError(f"trials_per_cell must be a positive integer, got {self.trials_per_cell!r}")
+        if not (type(self.master_seed) is int and 0 <= self.master_seed <= _MASK):
             raise ContractError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
         for ci, (token, n, N) in enumerate(self.cells):
             self.spec(ci, 0)

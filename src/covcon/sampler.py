@@ -81,7 +81,7 @@ class EnsembleSpec:
             raise ContractError(f"n must be a positive integer, got {self.n!r}")
         if not (type(self.N) is int and self.N >= 1):
             raise ContractError(f"N must be a positive integer, got {self.N!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _SEED_LIMIT):
+        if not (type(self.seed) is int and 0 <= self.seed < _SEED_LIMIT):
             raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.family == "lp_ball":
             if self.p is None:
@@ -235,16 +235,11 @@ def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.
     return _DRAWS[spec.family](spec, cols, tag)
 
 
-def sample_ensemble(spec: EnsembleSpec, _tag: int = rng.TAG_COLUMNS) -> SampleMatrix:
-    """Draw the full n x N matrix for `spec`; bit-identical across reruns.
-
-    The private `_tag` selects the counter namespace; callers that need an
-    independent draw tied to the same seed (fresh expectation samples) pass a
-    distinct tag.
-    """
+def sample_ensemble(spec: EnsembleSpec) -> SampleMatrix:
+    """The one whole-matrix draw: the n x N matrix of `spec`, bit-identical across reruns."""
     if spec.n * spec.N > MAX_ELEMENTS:
         raise ResourceError(f"n*N = {spec.n * spec.N} exceeds the sample budget of {MAX_ELEMENTS} entries")
-    return SampleMatrix(entries=_columns(spec, range(spec.N), _tag), spec=spec)
+    return SampleMatrix(entries=_columns(spec, range(spec.N)), spec=spec)
 
 
 # --- serialization -----------------------------------------------------------

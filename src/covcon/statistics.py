@@ -33,15 +33,17 @@ from itertools import chain, combinations, islice
 import numpy as np
 from scipy.special import betaincc, ndtr
 
-from . import rng
+from . import rng, sampler
 from .errors import (
     AnalyticUnavailableError,
     ContractError,
     EnumerationBudgetError,
     NumericalError,
+    ResourceError,
 )
 from .linalg import boundedness_ratio, gram_covariance, matrix_norm
 from .records import Record
+# Unused here, but perfbench/tracing.py wraps covcon.statistics.sample_ensemble.
 from .sampler import SampleMatrix, sample_ensemble
 
 __all__ = [
@@ -525,11 +527,11 @@ def truncation_split(
 
     The expectation terms come either from closed-form 1-D integrals
     (`analytic_isotropic`; available for gaussian and euclidean_ball at any
-    direction, exponential_product along coordinate directions) or from an
-    independent fresh sample of size `fresh_T` drawn from the matrix seed in
-    a separate counter namespace.  A fresh-sample expectation is the same
-    truncated-moment rule that gives the sample's terms, applied to the fresh
-    projections and divided by their second moment, so the truncated and
+    direction, exponential_product along coordinate directions) or from only
+    the `fresh_T` projections of a fresh sample drawn from the matrix seed in
+    a separate counter namespace, in column chunks of at most MAX_ELEMENTS
+    entries, so at any n.  They obey the truncated-moment rule of the
+    sample's terms, divided by their second moment, so the truncated and
     excess parts sum to 1 (the isotropic value) up to rounding and the
     recombination inequality S(x) <= s1 + s2 + s3 holds to rounding.
 
@@ -553,8 +555,11 @@ def truncation_split(
     else:
         if A.spec is None:
             raise ContractError("fresh_sample expectations need the generating spec")
-        fresh = sample_ensemble(replace(A.spec, N=fresh_T), _tag=rng.TAG_FRESH)
-        fp = x @ fresh.entries
+        spec, step = replace(A.spec, N=fresh_T), max(1, sampler.MAX_ELEMENTS // A.n)
+        if fresh_T > sampler.MAX_ELEMENTS:
+            raise ResourceError(f"fresh_T = {fresh_T} exceeds the sample budget of {sampler.MAX_ELEMENTS} entries")
+        chunks = (range(j, min(j + step, fresh_T)) for j in range(0, fresh_T, step))
+        fp = np.concatenate([x @ sampler._columns(spec, cols, rng.TAG_FRESH) for cols in chunks])
         m2 = float(np.mean(fp**2))
         if m2 == 0.0:
             raise ContractError("fresh sample has zero second moment along x")
@@ -657,11 +662,12 @@ def build_net(n: int, epsilon: float) -> SphereNet:
     dispersion.  Pairwise separation > epsilon is exact by construction,
     which gives the packing cardinality bound |net| <= (1 + 2/epsilon)^n.
     """
-    if not (isinstance(n, int) and 1 <= n <= 8):
+    if not (type(n) is int and 1 <= n <= 8):
         raise ContractError(f"net construction is limited to 1 <= n <= 8, got {n!r}")
     if not (0.0 < epsilon < 1.0):
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     points = _net_points_cached(n, float(epsilon))
+    points.flags.writeable = False  # the array is the cache's own
     limit = (1.0 + 2.0 / epsilon) ** n
     if len(points) > limit:
         raise RuntimeError(

@@ -86,6 +86,13 @@ def test_derive_seed_validation():
         derive_seed(0, 1 << 64, 0)
     with pytest.raises(ContractError):
         derive_seed(0, 0, -5)
+    for bad in (1.5, True):  # bool is an int subclass
+        with pytest.raises(ContractError):
+            derive_seed(bad, 0, 0)
+        with pytest.raises(ContractError):
+            derive_seed(0, bad, 0)
+        with pytest.raises(ContractError):
+            derive_seed(0, 0, bad)
 
 
 def test_master_seed_namespaces_disjoint():
@@ -103,6 +110,12 @@ def test_grid_validation():
         _grid([("gaussian", 2, 4)], trials=0)
     with pytest.raises(ContractError):
         _grid([("gaussian", 2, 4)], master=1 << 64)
+    for bad in (2.5, 2.0, True):  # bool is an int subclass
+        with pytest.raises(ContractError):
+            _grid([("gaussian", 2, 8)], trials=bad)
+    for bad in (7.5, 7.0, True):
+        with pytest.raises(ContractError):
+            _grid([("gaussian", 2, 8)], master=bad)
     with pytest.raises(ContractError):
         _grid([("cauchy", 2, 4)])
     with pytest.raises(ContractError):

@@ -42,6 +42,8 @@ def test_spec_rejects_bad_fields():
     with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, True, 0)
     with pytest.raises(ContractError):
+        EnsembleSpec("gaussian", 2, 4, True)
+    with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, 2, -1)
     with pytest.raises(ContractError):
         EnsembleSpec("gaussian", 2, 2, 1 << 64)
@@ -175,7 +177,7 @@ def test_column_ranges_equal_the_full_draw(spec):
         chunk = sampler._columns(spec, range(j0, j1))
         assert chunk.shape == (spec.n, j1 - j0)
         assert np.array_equal(chunk, full[:, j0:j1])
-    fresh = sample_ensemble(spec, _tag=rng.TAG_FRESH).entries
+    fresh = sampler._columns(spec, range(spec.N), rng.TAG_FRESH)
     assert np.array_equal(sampler._columns(spec, range(5, 9), rng.TAG_FRESH), fresh[:, 5:9])
 
 

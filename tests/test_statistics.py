@@ -12,12 +12,13 @@ from scipy.spatial import ConvexHull
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import ndtr
 
-from covcon import statistics
+from covcon import rng, sampler, statistics
 from covcon.errors import (
     AnalyticUnavailableError,
     ContractError,
     EnumerationBudgetError,
     NumericalError,
+    ResourceError,
 )
 from covcon.linalg import matrix_norm, operator_deviation
 from covcon.sampler import EnsembleSpec, SampleMatrix, sample_ensemble
@@ -501,6 +502,37 @@ def test_split_limits():
     assert fresh_zero.s3 == 1.0 and fresh_zero.s1 == 0.0
 
 
+@pytest.mark.parametrize("family", ["gaussian", "euclidean_ball", "exponential_product"])
+def test_fresh_split_streams_past_the_sample_budget(family, monkeypatch):
+    # With a budget of 4096 entries, a 4 x 4096 fresh sample comes in 4
+    # chunks of 1024 columns; the split equals the one-chunk split exactly.
+    A = sample_ensemble(EnsembleSpec(family, 4, 64, 8))
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def split():
+        s = truncation_split(A, x, 1.0, expectation="fresh_sample", fresh_T=4096, psi=1.5)
+        return s.s1, s.s2, s.s3, s.m_observed
+
+    one_chunk = split()
+    calls = []
+    columns = sampler._columns
+    monkeypatch.setattr(sampler, "MAX_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(sampler, "_columns", lambda spec, cols, tag: calls.append(cols) or columns(spec, cols, tag))
+    assert split() == one_chunk
+    assert calls == [range(j, j + 1024) for j in range(0, 4096, 1024)]
+
+
+def test_fresh_split_refuses_more_projections_than_the_budget(monkeypatch):
+    A = sample_ensemble(EnsembleSpec("gaussian", 4, 64, 8))
+    words = []
+    raw_words = rng.raw_words
+    monkeypatch.setattr(rng, "raw_words", lambda *args, **kw: words.append(args) or raw_words(*args, **kw))
+    monkeypatch.setattr(sampler, "MAX_ELEMENTS", 1 << 12)
+    with pytest.raises(ResourceError, match="fresh_T"):
+        truncation_split(A, np.array([1.0, 0.0, 0.0, 0.0]), 1.0, expectation="fresh_sample", fresh_T=4097, psi=1.5)
+    assert words == []
+
+
 def test_analytic_unavailable_routes():
     expo = sample_ensemble(EnsembleSpec("exponential_product", 2, 20, 36))
     diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -579,8 +611,20 @@ def test_net_cache_consistency():
     assert d["size"] == len(a.points) and d["n"] == 3
 
 
+def test_net_points_are_read_only():
+    # The points are the net cache's own array: a write must not reach the
+    # next build.
+    first = build_net(2, 0.5)
+    before = first.points.copy()
+    with pytest.raises(ValueError):
+        first.points[0] = 0.0
+    assert np.array_equal(build_net(2, 0.5).points, before)
+    with pytest.raises(ValueError):
+        build_net(1, 0.5).points[0] = 0.0
+
+
 def test_net_validation():
-    for bad in (0, 9, 2.0):
+    for bad in (0, 9, 2.0, True):
         with pytest.raises(ContractError):
             build_net(bad, 0.5)
     for eps in (0.0, 1.0, -0.1):
