@@ -128,19 +128,24 @@ def raw_words(seed: int, streams: range, tag: int, count: int, start: int = 0) -
     """Words [start, start+count) of each stream of the contiguous run
     ``streams`` (a step-1 range), word-major: shape (count, len(streams)).
 
-    Block b is one ``np.random.Philox`` call from counter (streams.start, 0,
-    b, tag) minus one, as numpy increments before its first block.  Any
+    Block b is one call of a single ``np.random.Philox``, started at counter
+    (streams.start, 0, first block, tag) minus one, as numpy increments
+    before its first block; between blocks it advances by 2^128 - m, from
+    (streams.start + m, 0, b, tag) to (streams.start, 0, b + 1, tag).  Any
     (start, count) window of a stream is reproducible in isolation.
     """
     m = len(streams)
     if count <= 0:
         return np.empty((0, m), dtype=np.uint64)
     first_block = start // 4
-    blocks = range(first_block, (start + count - 1) // 4 + 1)
-    words = np.empty((4 * len(blocks), m), dtype=np.uint64)
-    for i, b in enumerate(blocks):
-        counter = (streams.start + (b << 128) + (tag << 192) - 1) % (1 << 256)
-        words[4 * i : 4 * i + 4] = np.random.Philox(counter=counter, key=seed).random_raw(4 * m).reshape(m, 4).T
+    blocks = (start + count - 1) // 4 + 1 - first_block
+    words = np.empty((4 * blocks, m), dtype=np.uint64)
+    counter = (streams.start + (first_block << 128) + (tag << 192) - 1) % (1 << 256)
+    bitgen = np.random.Philox(counter=counter, key=seed)
+    for i in range(blocks):
+        if i:
+            bitgen.advance((1 << 128) - m)
+        words[4 * i : 4 * i + 4] = bitgen.random_raw(4 * m).reshape(m, 4).T
     lo = start - 4 * first_block
     return words[lo : lo + count]
 

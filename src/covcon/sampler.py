@@ -61,6 +61,15 @@ __all__ = [
 #: Memory budget for a single sample matrix (entries, not bytes).
 MAX_ELEMENTS = 1 << 25
 
+#: Columns per chunk of a streamed draw (at most MAX_ELEMENTS // n).  At
+#: n = 16 and the default fresh_T = 100,000, the fresh-sample truncation
+#: split in 8,192-column chunks peaks at 3.7 MiB traced, against 36.6 MiB as
+#: one chunk; a trial that streams its Gram product in such chunks ran
+#: gaussian 64 x 2^20 at 71 MB of RSS (184 MB with 65,536 columns).  It is
+#: at least every N of the golden, calibration and verification grids, so a
+#: trial that adopts it draws those cells as one chunk, byte for byte.
+CHUNK_COLUMNS = 1 << 13
+
 _SEED_LIMIT = 1 << 64
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.special import betaincc, ndtr
+from scipy.special import betaincc, ndtr, ndtri
 
 from . import rng, sampler
 from .errors import (
@@ -529,11 +529,12 @@ def truncation_split(
     (`analytic_isotropic`; available for gaussian and euclidean_ball at any
     direction, exponential_product along coordinate directions) or from only
     the `fresh_T` projections of a fresh sample drawn from the matrix seed in
-    a separate counter namespace, in column chunks of at most MAX_ELEMENTS
-    entries, so at any n.  They obey the truncated-moment rule of the
-    sample's terms, divided by their second moment, so the truncated and
-    excess parts sum to 1 (the isotropic value) up to rounding and the
-    recombination inequality S(x) <= s1 + s2 + s3 holds to rounding.
+    a separate counter namespace, in chunks of max(1, min(CHUNK_COLUMNS,
+    MAX_ELEMENTS // n)) columns, so at any n and in bounded memory.  They
+    obey the truncated-moment rule of the sample's terms, divided by their
+    second moment, so the truncated and excess parts sum to 1 (the isotropic
+    value) up to rounding and the recombination inequality
+    S(x) <= s1 + s2 + s3 holds to rounding.
 
     `psi` enters only the big_m field (M = max{psi^2 n, max|X_i|^2}); when
     omitted it is estimated from the matrix along basis directions.
@@ -555,7 +556,8 @@ def truncation_split(
     else:
         if A.spec is None:
             raise ContractError("fresh_sample expectations need the generating spec")
-        spec, step = replace(A.spec, N=fresh_T), max(1, sampler.MAX_ELEMENTS // A.n)
+        spec = replace(A.spec, N=fresh_T)
+        step = max(1, min(sampler.CHUNK_COLUMNS, sampler.MAX_ELEMENTS // A.n))
         if fresh_T > sampler.MAX_ELEMENTS:
             raise ResourceError(f"fresh_T = {fresh_T} exceeds the sample budget of {sampler.MAX_ELEMENTS} entries")
         chunks = (range(j, min(j + step, fresh_T)) for j in range(0, fresh_T, step))
@@ -587,6 +589,38 @@ def truncation_split(
 
 _SOBOL_LOG2_COUNT = {2: 13, 3: 16, 4: 17, 5: 16, 6: 16, 7: 16, 8: 16}
 
+#: Sobol parameters of dimensions 2..8 (Joe & Kuo 2008, new-joe-kuo-6.21201):
+#: degree s, coefficient bits a, initial m_1..m_s.
+_SOBOL_PARAMS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+                 (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)))
+_SOBOL_BITS = 30
+
+
+def _sobol(d: int, k: int) -> np.ndarray:
+    """The first 2^k points of the unscrambled d-dimensional Sobol sequence,
+    bit for bit those of scipy.stats.qmc.Sobol(d, scramble=False).random_base2(k).
+
+    Direction number i is v_i = m_i 2^(30-i): m_i = 1 in dimension 1, and
+    elsewhere m_i = 2^s m_{i-s} ^ m_{i-s} ^ (xor over t < s of 2^t a_t m_{i-t})
+    after the initial m_1..m_s.  In Gray-code order point j is the XOR of the
+    v_i at the set bits of j ^ (j >> 1), so points 2^i..2^(i+1)-1 are the
+    first 2^i reversed, each XOR v_(i+1).
+    """
+    m = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for row, (s, a, init) in zip(m[1:], _SOBOL_PARAMS):
+        row[:s] = init
+        for i in range(s, _SOBOL_BITS):
+            row[i] = row[i - s] ^ (row[i - s] << s)
+            for t in range(1, s):
+                if (a >> (s - 1 - t)) & 1:
+                    row[i] ^= row[i - t] << t
+    v = m << np.arange(_SOBOL_BITS - 1, -1, -1)
+    x = np.zeros((1, d), dtype=np.int64)
+    for i in range(k):
+        x = np.concatenate([x, x[::-1] ^ v[:, i]])
+    return x * 2.0**-_SOBOL_BITS
+
+
 #: Largest dimension whose net is completed from convex-hull facets; one
 #: n = 6 hull already takes several seconds.
 _HULL_REPAIR_MAX_N = 5
@@ -617,11 +651,7 @@ def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float)
 def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
     if n == 1:
         return np.array([[1.0], [-1.0]])
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    engine = qmc.Sobol(d=n, scramble=False)
-    u = engine.random_base2(_SOBOL_LOG2_COUNT[n])
+    u = _sobol(n, _SOBOL_LOG2_COUNT[n])
     # Shift off the closed endpoints (the unscrambled stream contains 0).
     u = u + 0.5 / len(u)
     g = ndtri(u)
@@ -654,7 +684,9 @@ def build_net(n: int, epsilon: float) -> SphereNet:
     n <= 5.
 
     A greedy pass keeps every point of a deterministic low-discrepancy cloud
-    that lies farther than epsilon from those kept before it.  For n <= 5 the
+    (the unscrambled Sobol sequence with Joe & Kuo's direction numbers, made
+    by `_sobol`, mapped to the sphere through the inverse normal CDF) that
+    lies farther than epsilon from those kept before it.  For n <= 5 the
     deep holes are then filled: the centre of each empty cap cut off by a
     convex-hull facet is added while its cap is wider than epsilon, so the
     net covers the whole sphere within epsilon.  For n = 6..8 it covers the

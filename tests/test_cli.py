@@ -404,12 +404,20 @@ def test_render_plot_svg_is_pure(small_run):
 
 
 def test_cli_import_defers_qmc_and_quad():
-    # scipy.stats (for qmc.Sobol) loads on the first net call, not at
-    # start-up; scipy.integrate is never imported.
-    code = "import sys, covcon.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    # Neither start-up nor a net call imports scipy.stats (the net's Sobol
+    # cloud is built in covcon), and scipy.integrate is never imported.
+    code = (
+        "import sys, covcon.cli\n"
+        "loaded = lambda: [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "assert covcon.cli.main(['net', '--n', '3', '--epsilon', '0.33']) == 0\n"
+        "print(loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert json.loads("\n".join(lines[1:-1]))["size"] > 0
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_exit_code_validation_errors(tmp_path):

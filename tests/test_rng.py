@@ -91,7 +91,7 @@ def test_raw_words_match_reference_layout():
                         assert np.array_equal(ours, _reference_words(seed, streams, tag, count, start))
 
 
-def test_raw_words_build_one_generator_per_block(monkeypatch):
+def test_raw_words_build_one_generator_per_call(monkeypatch):
     made = []
     real = np.random.Philox
 
@@ -100,10 +100,11 @@ def test_raw_words_build_one_generator_per_block(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    # Words 3..12 touch blocks 0..3; 50 streams still make one generator each.
+    # Words 3..12 touch blocks 0..3 and words 9..18 blocks 2..4; each call
+    # makes one generator, on its first block's counter, for all 50 streams.
     rng.raw_words(5, range(7, 57), rng.TAG_COLUMNS, 10, start=3)
-    assert len(made) == 4
-    assert made == [7 + (b << 128) - 1 for b in range(4)]
+    rng.raw_words(5, range(7, 57), rng.TAG_PROBES, 10, start=9)
+    assert made == [7 - 1, 7 + (2 << 128) + (rng.TAG_PROBES << 192) - 1]
 
 
 def test_philox_block_broadcasts_counter_words():

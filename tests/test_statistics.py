@@ -1,6 +1,7 @@
 """Tail-norm estimation, sparse norms, truncation split, and sphere nets."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -522,6 +523,31 @@ def test_fresh_split_streams_past_the_sample_budget(family, monkeypatch):
     assert calls == [range(j, j + 1024) for j in range(0, 4096, 1024)]
 
 
+def test_fresh_split_memory_and_chunks(monkeypatch):
+    # The default 100,000 fresh columns at n = 16 come in 13 chunks of at
+    # most CHUNK_COLUMNS columns, so the traced peak stays far below the
+    # 12.8 MB of the whole fresh matrix.
+    A = sample_ensemble(EnsembleSpec("gaussian", 16, 64, 8))
+    x = np.eye(16)[0]
+
+    def split():
+        return truncation_split(A, x, 1.0, expectation="fresh_sample", fresh_T=100_000, psi=1.5)
+
+    split()  # warm up lazily allocated state
+    tracemalloc.start()
+    try:
+        split()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+    widths = []
+    columns = sampler._columns
+    monkeypatch.setattr(sampler, "_columns", lambda spec, cols, tag: widths.append(len(cols)) or columns(spec, cols, tag))
+    split()
+    assert len(widths) == 13 and max(widths) <= sampler.CHUNK_COLUMNS and sum(widths) == 100_000
+
+
 def test_fresh_split_refuses_more_projections_than_the_budget(monkeypatch):
     A = sample_ensemble(EnsembleSpec("gaussian", 4, 64, 8))
     words = []
@@ -601,6 +627,17 @@ def test_net_has_no_deep_hole():
         pts = build_net(n, 1.0 / 3.0).points
         equations = ConvexHull(pts).equations
         assert np.sqrt(2.0 + 2.0 * equations[:, n]).max() <= 1.0 / 3.0
+
+
+def test_sobol_cloud_matches_scipy():
+    # The net's candidate cloud is scipy's unscrambled Sobol sequence, bit
+    # for bit, at every size the nets draw.
+    from scipy.stats import qmc
+
+    for d, k in statistics._SOBOL_LOG2_COUNT.items():
+        ours = statistics._sobol(d, k)
+        theirs = qmc.Sobol(d=d, scramble=False).random_base2(k)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 def test_net_cache_consistency():
