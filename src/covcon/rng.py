@@ -12,7 +12,8 @@ Layout of the 256-bit Philox counter (c0, c1, c2, c3):
     c0 = stream index (e.g. column of the matrix, probe index)
     c1 = 0 (reserved)
     c2 = block position along the stream (4 words per block)
-    c3 = purpose tag (TAG_* constants) so distinct uses never collide
+    c3 = purpose tag (TAG_COLUMNS, TAG_PROBES, TAG_FRESH, TAG_SEARCH,
+         TAG_NET) so distinct uses never collide
 
 Key = (seed, 0).  A counter increment steps c0, so one block of a run of
 streams is one call of numpy's C Philox (``raw_words``), which returns the
@@ -34,6 +35,7 @@ __all__ = [
     "TAG_PROBES",
     "TAG_FRESH",
     "TAG_SEARCH",
+    "TAG_NET",
     "splitmix64",
     "philox_block",
     "raw_words",
@@ -54,6 +56,7 @@ TAG_COLUMNS = 0  # matrix columns
 TAG_PROBES = 1  # random probe directions for norm estimation
 TAG_FRESH = 2  # held-out draws (fresh expectation estimates)
 TAG_SEARCH = 3  # random-search directions in sparse-norm oracles
+TAG_NET = 4  # candidate cloud of the sphere nets
 
 # Philox-4x64 round multipliers and Weyl key increments.
 _PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.special import betaincc, ndtr, ndtri
+from scipy.special import betaincc, ndtr
 
 from . import rng, sampler
 from .errors import (
@@ -260,8 +260,8 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     pseudo-random unit vectors derived from the matrix seed.  A probed sup is
     a lower bound on the true uniform psi_1 constant.
     """
-    if directions < 0:
-        raise ContractError(f"directions must be >= 0, got {directions}")
+    if not (type(directions) is int and directions >= 0):
+        raise ContractError(f"directions must be a non-negative integer, got {directions!r}")
     probes = np.vstack([np.eye(A.n), probe_directions(A.n, directions, A.seed)])
     proj = probes @ A.entries
     values, _, _ = _psi1_rows(proj)
@@ -382,8 +382,8 @@ def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[in
     start vectors are seeded by A.seed."""
     if mode not in ("exact", "greedy"):
         raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    if not 1 <= m <= A.N:
-        raise ContractError(f"m must satisfy 1 <= m <= N = {A.N}, got {m}")
+    if not (type(m) is int and 1 <= m <= A.N):
+        raise ContractError(f"m must be an integer with 1 <= m <= N = {A.N}, got {m!r}")
     # |e|_F^2 bounds every sub-Gram entry and eigenvalue, so once it is
     # finite no search below can overflow.
     if not math.isfinite(float(np.vdot(A.entries, A.entries))):
@@ -556,6 +556,8 @@ def truncation_split(
     else:
         if A.spec is None:
             raise ContractError("fresh_sample expectations need the generating spec")
+        if not (type(fresh_T) is int and fresh_T >= 1):
+            raise ContractError(f"fresh_T must be a positive integer, got {fresh_T!r}")
         spec = replace(A.spec, N=fresh_T)
         step = max(1, min(sampler.CHUNK_COLUMNS, sampler.MAX_ELEMENTS // A.n))
         if fresh_T > sampler.MAX_ELEMENTS:
@@ -587,39 +589,8 @@ def truncation_split(
 
 # --- sphere nets -------------------------------------------------------------
 
-_SOBOL_LOG2_COUNT = {2: 13, 3: 16, 4: 17, 5: 16, 6: 16, 7: 16, 8: 16}
-
-#: Sobol parameters of dimensions 2..8 (Joe & Kuo 2008, new-joe-kuo-6.21201):
-#: degree s, coefficient bits a, initial m_1..m_s.
-_SOBOL_PARAMS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
-                 (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)))
-_SOBOL_BITS = 30
-
-
-def _sobol(d: int, k: int) -> np.ndarray:
-    """The first 2^k points of the unscrambled d-dimensional Sobol sequence,
-    bit for bit those of scipy.stats.qmc.Sobol(d, scramble=False).random_base2(k).
-
-    Direction number i is v_i = m_i 2^(30-i): m_i = 1 in dimension 1, and
-    elsewhere m_i = 2^s m_{i-s} ^ m_{i-s} ^ (xor over t < s of 2^t a_t m_{i-t})
-    after the initial m_1..m_s.  In Gray-code order point j is the XOR of the
-    v_i at the set bits of j ^ (j >> 1), so points 2^i..2^(i+1)-1 are the
-    first 2^i reversed, each XOR v_(i+1).
-    """
-    m = np.ones((d, _SOBOL_BITS), dtype=np.int64)
-    for row, (s, a, init) in zip(m[1:], _SOBOL_PARAMS):
-        row[:s] = init
-        for i in range(s, _SOBOL_BITS):
-            row[i] = row[i - s] ^ (row[i - s] << s)
-            for t in range(1, s):
-                if (a >> (s - 1 - t)) & 1:
-                    row[i] ^= row[i - t] << t
-    v = m << np.arange(_SOBOL_BITS - 1, -1, -1)
-    x = np.zeros((1, d), dtype=np.int64)
-    for i in range(k):
-        x = np.concatenate([x, x[::-1] ^ v[:, i]])
-    return x * 2.0**-_SOBOL_BITS
-
+#: log2 of the candidate cloud's size, by dimension.
+_NET_LOG2_CLOUD = {2: 13, 3: 16, 4: 17, 5: 16, 6: 16, 7: 16, 8: 16}
 
 #: Largest dimension whose net is completed from convex-hull facets; one
 #: n = 6 hull already takes several seconds.
@@ -649,57 +620,55 @@ def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float)
 
 @lru_cache(maxsize=32)
 def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
+    """The net's points, read-only: the cache hands out this array itself."""
     if n == 1:
-        return np.array([[1.0], [-1.0]])
-    u = _sobol(n, _SOBOL_LOG2_COUNT[n])
-    # Shift off the closed endpoints (the unscrambled stream contains 0).
-    u = u + 0.5 / len(u)
-    g = ndtri(u)
+        points = np.array([[1.0], [-1.0]])
+        points.flags.writeable = False
+        return points
+    g = rng.normal_columns(0, range(1 << _NET_LOG2_CLOUD[n]), rng.TAG_NET, n).T
     cands = g / np.linalg.norm(g, axis=1)[:, None]
 
     eps_sq = epsilon * epsilon
     accepted = _greedy_extend([cands[0]], cands[1:], eps_sq)
-    if n > _HULL_REPAIR_MAX_N:
-        return np.asarray(accepted)
-
-    from scipy.spatial import ConvexHull
+    if n <= _HULL_REPAIR_MAX_N:
+        from scipy.spatial import ConvexHull
 
     # Each hull facet a.x + b = 0 (a a unit outward normal) cuts off an empty
     # cap centred at a, of squared chord radius 2 + 2b; the deepest points
     # left uncovered are these centres.  Add them, deepest first, until
     # every cap is within epsilon: the set is then maximal on the sphere.
-    while True:
+    before = 0
+    while n <= _HULL_REPAIR_MAX_N and len(accepted) > before:
         eq = ConvexHull(np.asarray(accepted)).equations
         depth = 2.0 + 2.0 * eq[:, n]
         order = np.argsort(-depth, kind="stable")
         holes = eq[order[depth[order] > eps_sq], :n]
         before = len(accepted)
         accepted = _greedy_extend(accepted, holes, eps_sq)
-        if len(accepted) == before:
-            return np.asarray(accepted)
+    points = np.asarray(accepted)
+    points.flags.writeable = False
+    return points
 
 
 def build_net(n: int, epsilon: float) -> SphereNet:
     """Epsilon-separated point set on S^{n-1}, maximal on the sphere for
     n <= 5.
 
-    A greedy pass keeps every point of a deterministic low-discrepancy cloud
-    (the unscrambled Sobol sequence with Joe & Kuo's direction numbers, made
-    by `_sobol`, mapped to the sphere through the inverse normal CDF) that
-    lies farther than epsilon from those kept before it.  For n <= 5 the
-    deep holes are then filled: the centre of each empty cap cut off by a
-    convex-hull facet is added while its cap is wider than epsilon, so the
-    net covers the whole sphere within epsilon.  For n = 6..8 it covers the
-    cloud within epsilon, and the sphere only within epsilon plus the cloud's
-    dispersion.  Pairwise separation > epsilon is exact by construction,
-    which gives the packing cardinality bound |net| <= (1 + 2/epsilon)^n.
+    A greedy pass keeps every point of a deterministic cloud (2^13 to 2^17
+    normalised gaussian draws, the Philox streams of seed 0 under
+    `rng.TAG_NET`) that lies farther than epsilon from those kept before it.
+    For n <= 5 the deep holes are then filled: the centre of each empty cap
+    cut off by a convex-hull facet is added while its cap is wider than
+    epsilon, so the net covers the whole sphere within epsilon.  For n = 6..8
+    it covers the cloud within epsilon, and the sphere only within epsilon
+    plus the cloud's dispersion.  Pairwise separation > epsilon is exact by
+    construction, so the packing bound |net| <= (1 + 2/epsilon)^n holds.
     """
     if not (type(n) is int and 1 <= n <= 8):
         raise ContractError(f"net construction is limited to 1 <= n <= 8, got {n!r}")
     if not (0.0 < epsilon < 1.0):
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     points = _net_points_cached(n, float(epsilon))
-    points.flags.writeable = False  # the array is the cache's own
     limit = (1.0 + 2.0 / epsilon) ** n
     if len(points) > limit:
         raise RuntimeError(
@@ -720,6 +689,8 @@ def net_sup_deviation(A: SampleMatrix, net: SphereNet) -> float:
 def net_covering_radius_probe(net: SphereNet, probes: int = 10_000, seed: int = 0) -> float:
     """Empirical covering radius: max over pseudo-random unit probes of the
     distance to the nearest net point."""
+    if not (type(probes) is int and probes >= 1 and type(seed) is int and 0 <= seed < 1 << 64):
+        raise ContractError(f"probes must be a positive integer and seed a 64-bit one, got {probes!r}, {seed!r}")
     q = probe_directions(net.n, probes, seed)
     d2 = 2.0 - 2.0 * q @ net.points.T
     return float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max())

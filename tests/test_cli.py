@@ -404,8 +404,9 @@ def test_render_plot_svg_is_pure(small_run):
 
 
 def test_cli_import_defers_qmc_and_quad():
-    # Neither start-up nor a net call imports scipy.stats (the net's Sobol
-    # cloud is built in covcon), and scipy.integrate is never imported.
+    # Neither start-up nor a net call imports scipy.stats (the net's cloud
+    # comes from covcon's Philox streams), and scipy.integrate is never
+    # imported.
     code = (
         "import sys, covcon.cli\n"
         "loaded = lambda: [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"

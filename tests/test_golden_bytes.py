@@ -39,7 +39,7 @@ RECORD_SHA256 = {
     "deviation": "c9fc71007987bf7741344c0dc9c5b05d215542ef76a9620d351c3a676b809c06",
     "amnorm_exact": "fdcb1537dee9e83d6ef9df415c6fa2b000de2e877038946839d140ba7b81c406",
     "amnorm_greedy": "80338d0119b95cbfe99f4422b565af5a557b2baaf1c21f0fd9ed0ac21bbc0cc5",
-    "net": "ca64df45566e34c64371a936bedc2f2a0b2b6a24ef8303e790237429bcdb90f5",
+    "net": "52ccd2801ce0b81324bcddaefa6e997c82b559de537171b666f933dded591c2d",
     "bounds": "95961a25ad3a5b62777f9fa1338c86015e95a922a8bdd0115783b65afd2c6c26",
     "truncation_split": "c9d89a30e21371583970361a079931c6bdf128de7b5e0e79689f85dfc9f5e2fd",
     "cell_result": "0b40498592a391094532977221563c9f37b87761e4116db164ad396dec968f48",

@@ -159,8 +159,9 @@ def test_psi1_ensemble_gaussian_band():
     value = psi1_ensemble(A, 16)
     assert 1.2 <= value <= 1.55
     assert psi1_ensemble(A, 16) == value  # deterministic
-    with pytest.raises(ContractError):
-        psi1_ensemble(A, -1)
+    for bad in (-1, 1.5, 2.0, True):
+        with pytest.raises(ContractError):
+            psi1_ensemble(A, bad)
 
 
 def _psi1_bisection_rows(proj):
@@ -260,6 +261,9 @@ def test_sparse_norm_validation():
         sparse_norm(A, 41)
     with pytest.raises(ContractError):
         sparse_norm(A, 2, "annealed")
+    for bad in (2.0, 1.5, True):
+        with pytest.raises(ContractError):
+            sparse_norm(A, bad)
 
 
 def test_profile_grid_and_certificates():
@@ -586,6 +590,9 @@ def test_split_validation():
         truncation_split(A, np.array([1.0, 0.0]), -0.5)
     with pytest.raises(ContractError):
         truncation_split(A, np.array([1.0, 0.0]), 1.0, expectation="bootstrap")
+    for bad in (0, 2.5, True):
+        with pytest.raises(ContractError, match="fresh_T"):
+            truncation_split(A, np.array([1.0, 0.0]), 1.0, expectation="fresh_sample", fresh_T=bad)
 
 
 def test_direction_deviation_hand_value():
@@ -629,15 +636,11 @@ def test_net_has_no_deep_hole():
         assert np.sqrt(2.0 + 2.0 * equations[:, n]).max() <= 1.0 / 3.0
 
 
-def test_sobol_cloud_matches_scipy():
-    # The net's candidate cloud is scipy's unscrambled Sobol sequence, bit
-    # for bit, at every size the nets draw.
-    from scipy.stats import qmc
-
-    for d, k in statistics._SOBOL_LOG2_COUNT.items():
-        ours = statistics._sobol(d, k)
-        theirs = qmc.Sobol(d=d, scramble=False).random_base2(k)
-        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+def test_net_cloud_is_the_net_tag_stream():
+    # The greedy pass always keeps candidate 0, the first draw of seed 0
+    # under TAG_NET, normalised.
+    g = rng.normal_columns(0, range(1), rng.TAG_NET, 3).T
+    assert np.array_equal(build_net(3, 1.0 / 3.0).points[:1], g / np.linalg.norm(g, axis=1)[:, None])
 
 
 def test_net_cache_consistency():
@@ -667,6 +670,10 @@ def test_net_validation():
     for eps in (0.0, 1.0, -0.1):
         with pytest.raises(ContractError):
             build_net(2, eps)
+    net = build_net(2, 0.5)
+    for probes, seed in ((0, 0), (1.5, 0), (True, 0), (10, 1.5), (10, True), (10, -1), (10, 1 << 64)):
+        with pytest.raises(ContractError):
+            net_covering_radius_probe(net, probes=probes, seed=seed)
 
 
 def test_net_sup_matches_direct_evaluation():
