@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from .errors import ContractError, RegimeError
+from .errors import ContractError, RegimeError, require_int
 from .records import Record
 
 __all__ = [
@@ -126,8 +126,8 @@ def main_probability_budget(cfg: BoundConfig, n: int) -> float:
 
 
 def _check_shape(n: int, N: int) -> None:
-    if n < 1 or N < 1:
-        raise ContractError(f"dimensions must be positive, got n={n}, N={N}")
+    require_int("n", n)
+    require_int("N", N)
 
 
 def theorem1_rhs(cfg: BoundConfig, n: int, N: int) -> float:
@@ -149,8 +149,7 @@ def corollary_interval(cfg: BoundConfig, n: int, N: int) -> tuple[float, float]:
 def thmold_bound(cfg: BoundConfig, m: int, n: int, N: int, max_col_norm: float) -> float:
     """Sparse-norm envelope C_old psi t max{sqrt(m) ln(2N/m), sqrt(n)} + 6 max|X_i|."""
     _check_shape(n, N)
-    if not 1 <= m <= N:
-        raise ContractError(f"m must satisfy 1 <= m <= N = {N}, got {m}")
+    require_int("m", m, 1, N)
     core = max(math.sqrt(m) * math.log(2.0 * N / m), math.sqrt(n))
     return cfg.C_old * cfg.psi * cfg.t * core + 6.0 * max_col_norm
 
@@ -208,8 +207,7 @@ def remark2_bounds(cfg: BoundConfig, n: int, N: int) -> tuple[float, float]:
 
 def net_cardinality_log(n: int) -> float:
     """log of the (1/3)-net cardinality bound 7^n, i.e. n ln 7."""
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
+    require_int("n", n)
     return n * _LN7
 
 
@@ -217,8 +215,7 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
     """Whether B^2 m <= C_old (M + psi^2 m ln^2(2N/m)) — the envelope-side
     counterpart of the pigeonhole bound on |E_B|."""
     _check_shape(n, N)
-    if not 1 <= m <= N:
-        raise ContractError(f"m must satisfy 1 <= m <= N = {N}, got {m}")
+    require_int("m", m, 1, N)
     rhs = cfg.C_old * (big_m + cfg.psi**2 * m * math.log(2.0 * N / m) ** 2)
     return B * B * m <= rhs
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import U64_MAX, ConfigError, ContractError, NumericalError
 from .experiments import CellResult, ExperimentGrid, ScalingFit
 from .linalg import DeviationReport, operator_deviation
 from .sampler import EnsembleSpec, load_matrix, parse_family_token, sample_ensemble, save_matrix
@@ -374,7 +374,7 @@ def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
 
 def _u64(text: str) -> int:
     value = int(text, 0)
-    if not 0 <= value < 1 << 64:
+    if not 0 <= value <= U64_MAX:
         raise argparse.ArgumentTypeError(f"{text!r} is not an unsigned 64-bit integer")
     return value
 

@@ -1,13 +1,16 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one integer rule.
 
 The split mirrors the process exit codes: contract/validation problems
 (ValueError family, exit 2), I/O problems (OSError, exit 3), and numerical
-failures (exit 4).
+failures (exit 4).  `require_int` states the integer rule: each count, dimension
+and seed is a plain int in its range, never a float, bool or numpy integer.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "U64_MAX",
+    "require_int",
     "ContractError",
     "ConfigError",
     "RegimeError",
@@ -47,3 +50,13 @@ class ResourceError(ContractError):
 
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge within its cap."""
+
+
+U64_MAX = (1 << 64) - 1
+_RULES = {(0, None): "a non-negative integer", (1, None): "a positive integer", (0, U64_MAX): "an unsigned 64-bit integer"}
+
+
+def require_int(name: str, value: object, lo: int = 1, hi: int | None = None) -> None:
+    """Raise ContractError unless type(value) is int and lo <= value <= hi (hi = None: no bound)."""
+    if not (type(value) is int and lo <= value and (hi is None or value <= hi)):
+        raise ContractError(f"{name} must be {_RULES.get((lo, hi), f'an integer in [{lo}, {hi}]')}, got {value!r}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bounds, rng, statistics
 from .bounds import BoundConfig
-from .errors import ContractError, NumericalError
+from .errors import U64_MAX, ContractError, NumericalError, require_int
 from .linalg import DeviationReport, operator_deviation
 from .records import Record
 from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
@@ -70,7 +70,6 @@ PSI_SAMPLE_COLUMNS = 1 << 16
 FIT_MIN_TRIALS = 10
 FIT_MIN_RATIOS = 3
 
-_MASK = (1 << 64) - 1
 _CELL_MULT = 0x9E3779B97F4A7C15
 _TRIAL_MULT = 0xBF58476D1CE4E5B9
 
@@ -79,9 +78,8 @@ def derive_seed(master: int, cell_index: int, trial_index: int) -> int:
     """Per-trial seed: SplitMix64 step of master XOR odd-multiplier-spread
     cell and trial indices.  Pure, order-free, bit-exact across platforms."""
     for name, value in (("master", master), ("cell_index", cell_index), ("trial_index", trial_index)):
-        if not (type(value) is int and 0 <= value <= _MASK):
-            raise ContractError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-    mixed = master ^ ((cell_index * _CELL_MULT) & _MASK) ^ ((trial_index * _TRIAL_MULT) & _MASK)
+        require_int(name, value, 0, U64_MAX)
+    mixed = master ^ ((cell_index * _CELL_MULT) & U64_MAX) ^ ((trial_index * _TRIAL_MULT) & U64_MAX)
     return rng.splitmix64(mixed)
 
 
@@ -101,10 +99,8 @@ class ExperimentGrid:
         object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
         if not self.cells:
             raise ContractError("grid must contain at least one cell")
-        if not (type(self.trials_per_cell) is int and self.trials_per_cell >= 1):
-            raise ContractError(f"trials_per_cell must be a positive integer, got {self.trials_per_cell!r}")
-        if not (type(self.master_seed) is int and 0 <= self.master_seed <= _MASK):
-            raise ContractError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
+        require_int("trials_per_cell", self.trials_per_cell)
+        require_int("master_seed", self.master_seed, 0, U64_MAX)
         for ci, (token, n, N) in enumerate(self.cells):
             self.spec(ci, 0)
             if self.cells.index((token, n, N)) < ci:
@@ -464,7 +460,7 @@ def calibrate_constants(
             profile = statistics.sparse_norm_profile(A_s, mode="greedy")
             mcn = A_s.max_column_norm()
             for m, a_m in zip(profile.m_values, profile.a_m):
-                envelope = bounds.thmold_bound(cfg_s, m, n_s, N_s, 0.0)
+                envelope = bounds.thmold_bound(cfg_s, int(m), n_s, N_s, 0.0)
                 thmold_req = max(thmold_req, (a_m - 6.0 * mcn) / envelope)
     C1 = 1.1 * moment_req
     C2 = 1.1 * excess_req

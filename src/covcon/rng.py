@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import U64_MAX
+
 __all__ = [
     "TAG_COLUMNS",
     "TAG_PROBES",
@@ -47,8 +49,6 @@ __all__ = [
     "laplace_from_words",
     "exponential_from_words",
 ]
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Purpose tags (counter word c3).  One tag per independent consumer of a
 # seed's stream space; new consumers must claim a fresh tag here.
@@ -81,9 +81,9 @@ def splitmix64(state: int) -> int:
     ``state`` would emit.  Used to derive well-separated child seeds from
     (master seed, cell, trial) triples.
     """
-    z = (state + _GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX_1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & MASK64
+    z = (state + _GOLDEN) & U64_MAX
+    z = ((z ^ (z >> 30)) * _MIX_1) & U64_MAX
+    z = ((z ^ (z >> 27)) * _MIX_2) & U64_MAX
     return z ^ (z >> 31)
 
 
@@ -112,7 +112,7 @@ def philox_block(
     (key, 0).  Returns the four output words, each of the broadcast shape.
     """
     with np.errstate(over="ignore"):
-        k0 = np.uint64(key & MASK64)
+        k0 = np.uint64(key & U64_MAX)
         k1 = np.uint64(0)
         x0, x1, x2, x3 = c0, c1, c2, c3
         for _ in range(10):

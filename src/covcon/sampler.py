@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln
 
 from . import rng
-from .errors import ContractError, ResourceError
+from .errors import U64_MAX, ContractError, ResourceError, require_int
 
 __all__ = [
     "FAMILIES",
@@ -70,8 +70,6 @@ MAX_ELEMENTS = 1 << 25
 #: trial that adopts it draws those cells as one chunk, byte for byte.
 CHUNK_COLUMNS = 1 << 13
 
-_SEED_LIMIT = 1 << 64
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -86,12 +84,9 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ContractError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (type(self.n) is int and self.n >= 1):
-            raise ContractError(f"n must be a positive integer, got {self.n!r}")
-        if not (type(self.N) is int and self.N >= 1):
-            raise ContractError(f"N must be a positive integer, got {self.N!r}")
-        if not (type(self.seed) is int and 0 <= self.seed < _SEED_LIMIT):
-            raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        require_int("n", self.n)
+        require_int("N", self.N)
+        require_int("seed", self.seed, 0, U64_MAX)
         if self.family == "lp_ball":
             if self.p is None:
                 raise ContractError("lp_ball requires the exponent p")

@@ -35,11 +35,13 @@ from scipy.special import betaincc, ndtr
 
 from . import rng, sampler
 from .errors import (
+    U64_MAX,
     AnalyticUnavailableError,
     ContractError,
     EnumerationBudgetError,
     NumericalError,
     ResourceError,
+    require_int,
 )
 from .linalg import boundedness_ratio, gram_covariance, matrix_norm
 from .records import Record
@@ -246,8 +248,6 @@ def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:
 
 def probe_directions(n: int, count: int, seed: int) -> np.ndarray:
     """`count` deterministic pseudo-random unit vectors in R^n (rows)."""
-    if count <= 0:
-        return np.empty((0, n))
     g = rng.normal_columns(seed, range(count), rng.TAG_PROBES, n).T
     return g / np.linalg.norm(g, axis=1)[:, None]
 
@@ -260,8 +260,7 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     pseudo-random unit vectors derived from the matrix seed.  A probed sup is
     a lower bound on the true uniform psi_1 constant.
     """
-    if not (type(directions) is int and directions >= 0):
-        raise ContractError(f"directions must be a non-negative integer, got {directions!r}")
+    require_int("directions", directions, 0)
     probes = np.vstack([np.eye(A.n), probe_directions(A.n, directions, A.seed)])
     proj = probes @ A.entries
     values, _, _ = _psi1_rows(proj)
@@ -303,6 +302,9 @@ def _lambda_max_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: and of eigvalsh.
 _PRUNE_SLACK = 1e-9
 
+#: Entries per block (32 MiB of float64) of the exact search, the greedy net pass and the probe.
+_BLOCK_ENTRIES = 1 << 22
+
 
 def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]:
     """Enumerate all m-column supports; return (A_m, optimal support).
@@ -328,7 +330,7 @@ def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]
     combos = combinations(range(N), m)
     best = -np.inf
     best_support: tuple[int, ...] = ()
-    chunk_size = max(1, min(4096, (1 << 22) // max(1, A.n * m)))
+    chunk_size = max(1, min(4096, _BLOCK_ENTRIES // (A.n * m)))
     while True:
         idx = np.fromiter(chain.from_iterable(islice(combos, chunk_size)), dtype=np.intp).reshape(-1, m)
         if not idx.size:
@@ -382,8 +384,7 @@ def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[in
     start vectors are seeded by A.seed."""
     if mode not in ("exact", "greedy"):
         raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    if not (type(m) is int and 1 <= m <= A.N):
-        raise ContractError(f"m must be an integer with 1 <= m <= N = {A.N}, got {m!r}")
+    require_int("m", m, 1, A.N)
     # |e|_F^2 bounds every sub-Gram entry and eigenvalue, so once it is
     # finite no search below can overflow.
     if not math.isfinite(float(np.vdot(A.entries, A.entries))):
@@ -542,7 +543,7 @@ def truncation_split(
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != A.n:
         raise ContractError(f"direction has dimension {x.size}, matrix has n={A.n}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-12:
         raise ContractError(f"direction must be a unit vector (|x| = {np.linalg.norm(x)!r})")
     if not (B >= 0.0):
         raise ContractError(f"truncation level B must be >= 0, got {B!r}")
@@ -556,8 +557,7 @@ def truncation_split(
     else:
         if A.spec is None:
             raise ContractError("fresh_sample expectations need the generating spec")
-        if not (type(fresh_T) is int and fresh_T >= 1):
-            raise ContractError(f"fresh_T must be a positive integer, got {fresh_T!r}")
+        require_int("fresh_T", fresh_T)
         spec = replace(A.spec, N=fresh_T)
         step = max(1, min(sampler.CHUNK_COLUMNS, sampler.MAX_ELEMENTS // A.n))
         if fresh_T > sampler.MAX_ELEMENTS:
@@ -599,11 +599,11 @@ _HULL_REPAIR_MAX_N = 5
 
 def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float) -> list[np.ndarray]:
     """Append, in order, every candidate farther than epsilon from all points
-    accepted so far (squared chord distance 2 - 2<a, b> > eps_sq)."""
-    block = np.asarray(accepted)
-    chunk = 2048
-    for lo in range(0, len(cands), chunk):
-        part = cands[lo : lo + chunk]
+    accepted so far (squared chord distance 2 - 2<a, b> > eps_sq).  Blocks
+    stay small, as each row is also checked against its block's fresh rows."""
+    while len(cands):
+        block = np.asarray(accepted)
+        part, cands = np.split(cands, [min(1024, _BLOCK_ENTRIES // len(block))])
         base_min = np.min(2.0 - 2.0 * part @ block.T, axis=1)
         fresh: list[np.ndarray] = []
         for j in range(len(part)):
@@ -612,9 +612,7 @@ def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float)
                 d2 = min(d2, np.min(2.0 - 2.0 * np.asarray(fresh) @ part[j]))
             if d2 > eps_sq:
                 fresh.append(part[j])
-        if fresh:
-            accepted.extend(fresh)
-            block = np.asarray(accepted)
+        accepted.extend(fresh)
     return accepted
 
 
@@ -662,10 +660,10 @@ def build_net(n: int, epsilon: float) -> SphereNet:
     epsilon, so the net covers the whole sphere within epsilon.  For n = 6..8
     it covers the cloud within epsilon, and the sphere only within epsilon
     plus the cloud's dispersion.  Pairwise separation > epsilon is exact by
-    construction, so the packing bound |net| <= (1 + 2/epsilon)^n holds.
+    construction, so the packing bound |net| <= (1 + 2/epsilon)^n holds.  The
+    greedy pass compares blocks of at most 1024 candidates and 2^22 distances.
     """
-    if not (type(n) is int and 1 <= n <= 8):
-        raise ContractError(f"net construction is limited to 1 <= n <= 8, got {n!r}")
+    require_int("n", n, 1, 8)
     if not (0.0 < epsilon < 1.0):
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     points = _net_points_cached(n, float(epsilon))
@@ -688,9 +686,10 @@ def net_sup_deviation(A: SampleMatrix, net: SphereNet) -> float:
 
 def net_covering_radius_probe(net: SphereNet, probes: int = 10_000, seed: int = 0) -> float:
     """Empirical covering radius: max over pseudo-random unit probes of the
-    distance to the nearest net point."""
-    if not (type(probes) is int and probes >= 1 and type(seed) is int and 0 <= seed < 1 << 64):
-        raise ContractError(f"probes must be a positive integer and seed a 64-bit one, got {probes!r}, {seed!r}")
+    distance to the nearest net point, in blocks of _BLOCK_ENTRIES distances."""
+    require_int("probes", probes)
+    require_int("seed", seed, 0, U64_MAX)
     q = probe_directions(net.n, probes, seed)
-    d2 = 2.0 - 2.0 * q @ net.points.T
-    return float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max())
+    step = min(4096, _BLOCK_ENTRIES // len(net.points))
+    d2 = max(np.min(2.0 - 2.0 * q[lo : lo + step] @ net.points.T, axis=1).max() for lo in range(0, probes, step))
+    return float(np.sqrt(max(d2, 0.0)))

@@ -134,6 +134,26 @@ def test_thmold_validation():
         thmold_bound(UNIT, 5, 2, 4, 0.0)
 
 
+@pytest.mark.parametrize("bad", [4.5, True, np.int64(4)], ids=["float", "bool", "int64"])
+def test_bounds_refuse_non_int_counts(bad):
+    # n, N and m follow the package's integer rule: a float, a bool or a
+    # numpy integer is refused, not evaluated.
+    calls = [
+        lambda: theorem1_rhs(UNIT, bad, 16),
+        lambda: theorem1_rhs(UNIT, 4, bad),
+        lambda: choose_B(UNIT, bad, 16),
+        lambda: choose_theta(UNIT, 4, bad),
+        lambda: remark2_bounds(UNIT, bad, 16),
+        lambda: thmold_bound(UNIT, bad, 4, 16, 0.0),
+        lambda: pigeonhole_consistent(UNIT, 1.0, bad, 1.0, 4, 16),
+        lambda: net_cardinality_log(bad),
+        lambda: evaluate_all(UNIT, 4, 16, m=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
+
+
 # --- Bernstein tail and the net comparison -----------------------------------
 
 

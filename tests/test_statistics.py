@@ -1,5 +1,6 @@
 """Tail-norm estimation, sparse norms, truncation split, and sphere nets."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -585,6 +586,8 @@ def test_split_validation():
     with pytest.raises(ContractError):
         truncation_split(A, np.array([1.0, 1.0]), 1.0)  # not unit
     with pytest.raises(ContractError):
+        truncation_split(A, np.array([np.nan, 0.0]), 1.0)  # NaN norm
+    with pytest.raises(ContractError):
         truncation_split(A, np.array([1.0]), 1.0)  # wrong dimension
     with pytest.raises(ContractError):
         truncation_split(A, np.array([1.0, 0.0]), -0.5)
@@ -625,6 +628,37 @@ def test_net_covers_the_sphere():
         net = build_net(n, 1.0 / 3.0)
         for seed in range(5):
             assert net_covering_radius_probe(net, probes=100_000, seed=seed) <= 1.0 / 3.0
+
+
+def test_net_probe_memory_is_blocked():
+    # One 100,000 x 384 distance matrix is 293 MiB; the probe compares in
+    # blocks of at most 2^22 distances instead.
+    net = build_net(4, 1.0 / 3.0)
+    net_covering_radius_probe(net, probes=10)  # warm up lazily allocated state
+    tracemalloc.start()
+    try:
+        net_covering_radius_probe(net, probes=100_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 << 20
+
+
+#: sha256 of build_net(n, 1/3).points, as float64 bytes in row order.
+NET_SHA256 = {
+    3: "5824c5b0d055aa1715cd882db7a64614cdf9f3a8133a3a1d0d3a199337c61b02",
+    4: "09d0f3ed5c772f96c538603ef320fba67a4f61d8296f6ee54a6fbc74a461a810",
+    5: "bfb09cda6ddf7d2bd704ca4ab47dc6bad79d297be2b53182b9bbf4f9f2c2d9a0",
+    6: "595905b94d6e009916c9684788155f7483ea109d49ff9f1df3e2fdb23eb2c5c2",
+}
+
+
+def test_net_points_are_pinned():
+    # Guards the greedy pass: a change in how candidates are blocked must
+    # not move, add or drop a point.
+    for n, digest in NET_SHA256.items():
+        points = build_net(n, 1.0 / 3.0).points
+        assert hashlib.sha256(np.ascontiguousarray(points).tobytes()).hexdigest() == digest, n
 
 
 def test_net_has_no_deep_hole():
