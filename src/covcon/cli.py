@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
-from .errors import U64_MAX, ConfigError, ContractError, NumericalError
+from .errors import U64_MAX, ConfigError, ContractError, NumericalError, require_int
 from .experiments import CellResult, ExperimentGrid, ScalingFit
 from .linalg import DeviationReport, operator_deviation
 from .sampler import EnsembleSpec, load_matrix, parse_family_token, sample_ensemble, save_matrix
@@ -66,6 +66,8 @@ class RunConfig:
     parallelism: int | str
 
     def __post_init__(self) -> None:
+        if self.parallelism != "auto":
+            require_int("parallelism", self.parallelism)
         # Refuse a grid the scaling fit would reject before any trial runs.
         trials, ratios = self.grid.trials_per_cell, sorted({n / N for _, n, N in self.grid.cells})
         if trials < experiments.FIT_MIN_TRIALS or len(ratios) < experiments.FIT_MIN_RATIOS:
@@ -151,16 +153,13 @@ def parse_config(text: str) -> RunConfig:
     if not emit or not emit <= _EMIT_CHOICES:
         raise ConfigError(f"emit must be a nonempty subset of {sorted(_EMIT_CHOICES)}, got {sorted(emit)}")
     par_raw = out_sec["parallelism"].strip()
-    parallelism: int | str
-    if par_raw == "auto":
-        parallelism = "auto"
-    else:
+    parallelism: int | str = par_raw
+    if par_raw != "auto":
         try:
             parallelism = int(par_raw)
-        except ValueError as exc:
-            raise ConfigError(f"parallelism must be 'auto' or an integer, got {par_raw!r}") from exc
-        if parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+            require_int("parallelism", parallelism)
+        except ValueError as exc:  # ContractError is a ValueError
+            raise ConfigError(f"parallelism must be 'auto' or a positive integer, got {par_raw!r}") from exc
     return RunConfig(grid=grid, output_dir=out_sec["output_dir"].strip(), emit=emit, parallelism=parallelism)
 
 
@@ -171,7 +170,8 @@ def resolve_workers(parallelism: int | str) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    return int(parallelism)
+    require_int("parallelism", parallelism)
+    return parallelism
 
 
 # --- serialization -----------------------------------------------------------

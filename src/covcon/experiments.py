@@ -227,6 +227,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     Each trial's seed comes from its cell and trial index, and reports are
     ordered by trial index, so the result is independent of worker count.
     psi_hat is the one measured by each cell's trial-0 job."""
+    require_int("workers", workers)
     T = grid.trials_per_cell
     jobs = [
         (ci, ti, grid.spec(ci, derive_seed(grid.master_seed, ci, ti)))

@@ -351,32 +351,45 @@ def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]
     return float(np.sqrt(max(best, 0.0))), best_support
 
 
-def _thresholded_power(e: np.ndarray, m: int, seed: int) -> float:
-    """Lower bound on A_m by truncated power iteration (Yuan & Zhang, JMLR
-    2013): power steps on e^T e, each followed by hard thresholding to the m
-    largest coordinates, from _POWER_STARTS deterministic pseudo-random
-    starting vectors (start k is TAG_SEARCH stream k)."""
-    n, N = e.shape
-    z = rng.normal_columns(seed, range(_POWER_STARTS), rng.TAG_SEARCH, N)  # (N, starts)
+def _thresholded_power(e: np.ndarray, ms: list[int], seed: int) -> tuple[list[float], np.ndarray]:
+    """Lower bounds on A_m for each m in ms (1 < m < N) by truncated power
+    iteration (Yuan & Zhang, JMLR 2013): power steps on e^T e, each followed
+    by hard thresholding to the m largest coordinates, from _POWER_STARTS
+    deterministic pseudo-random starts (start k is TAG_SEARCH stream k).
+    Returns them with the final m-sparse unit vectors (column block k for ms[k]).
 
-    def project(w: np.ndarray) -> np.ndarray:
-        if m < N:
-            drop = np.argpartition(np.abs(w), N - m - 1, axis=0)[: N - m]
-            w = w.copy()
-            np.put_along_axis(w, drop, 0.0, axis=0)
+    All sizes run on the same starts as one (N, len(ms) * starts) batch, one
+    product per step.  A column keeps its support unselected while its m
+    support entries all exceed every other entry: the top m are then unique,
+    and argpartition, which partitions each column on its own, would return
+    them.  So the values are those of one m at a time, bit for bit."""
+    N = e.shape[1]
+    starts = rng.normal_columns(seed, range(_POWER_STARTS), rng.TAG_SEARCH, N)  # (N, starts)
+    sizes = np.repeat(ms, _POWER_STARTS)
+    w = np.tile(starts, len(ms))
+    keep = np.zeros(w.shape, dtype=bool)
+    for step in range(_POWER_ITERS + 1):
+        if step:
+            w = e.T @ (e @ w)
+        a = np.abs(w)
+        moved = ((a > (a * ~keep).max(axis=0)).sum(axis=0) != sizes).reshape(len(ms), -1)
+        for k, m in enumerate(ms):
+            cols = np.flatnonzero(moved[k]) + k * _POWER_STARTS
+            if cols.size:
+                drop = np.argpartition(a[:, cols], N - m - 1, axis=0)[: N - m]
+                keep[:, cols] = True
+                keep[drop, cols] = False
+        w *= keep
         norms = np.linalg.norm(w, axis=0)
         norms[norms == 0.0] = 1.0
-        return w / norms
-
-    z = project(z)
-    for _ in range(_POWER_ITERS):
-        z = project(e.T @ (e @ z))
-    return float(np.linalg.norm(e @ z, axis=0).max())
+        w /= norms
+    return np.linalg.norm(e @ w, axis=0).reshape(len(ms), -1).max(axis=1).tolist(), w
 
 
-def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[int, ...]]:
-    """(A_m, support attaining it); the support is () where greedy mode has
-    no certificate.  m = 1 and m = N are exact in both modes.
+def _sparse_norms(A: SampleMatrix, ms: list[int], mode: str) -> list[tuple[float, tuple[int, ...]]]:
+    """(A_m, support attaining it) for each m in ms; the support is () where
+    greedy mode has no certificate.  m = 1 and m = N are exact in both modes,
+    and greedy mode searches every other m in one `_thresholded_power` call.
 
     The search runs on the entries scaled by the power of two 2^-k that puts
     max|e| in [1/2, 1), so neither squares nor power steps under- or
@@ -384,24 +397,28 @@ def _sparse_norm_at(A: SampleMatrix, m: int, mode: str) -> tuple[float, tuple[in
     start vectors are seeded by A.seed."""
     if mode not in ("exact", "greedy"):
         raise ContractError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    require_int("m", m, 1, A.N)
     # |e|_F^2 bounds every sub-Gram entry and eigenvalue, so once it is
     # finite no search below can overflow.
     if not math.isfinite(float(np.vdot(A.entries, A.entries))):
         raise ContractError("the squared Frobenius norm of the entries overflows float64")
     k = int(np.frexp(np.abs(A.entries).max())[1])
     A = SampleMatrix(np.ldexp(A.entries, -k), spec=A.spec)
-    if m == 1:
-        norms = A.column_norms()
-        j = int(np.argmax(norms))
-        value, support = norms[j], (j,)
-    elif m == A.N:
-        value, support = matrix_norm(A), tuple(range(A.N))
-    elif mode == "exact":
-        value, support = _sparse_norm_exact(A, m)
-    else:
-        value, support = _thresholded_power(A.entries, m, A.seed), ()
-    return float(np.ldexp(value, k)), support
+    interior = [m for m in ms if 1 < m < A.N] if mode == "greedy" else []
+    greedy = dict(zip(interior, _thresholded_power(A.entries, interior, A.seed)[0] if interior else ()))
+    out = []
+    for m in ms:
+        if m == 1:
+            norms = A.column_norms()
+            j = int(np.argmax(norms))
+            value, support = norms[j], (j,)
+        elif m == A.N:
+            value, support = matrix_norm(A), tuple(range(A.N))
+        elif mode == "exact":
+            value, support = _sparse_norm_exact(A, m)
+        else:
+            value, support = greedy[m], ()
+        out.append((float(np.ldexp(value, k)), support))
+    return out
 
 
 def sparse_norm(A: SampleMatrix, m: int, mode: str = "exact") -> float:
@@ -413,7 +430,8 @@ def sparse_norm(A: SampleMatrix, m: int, mode: str = "exact") -> float:
     (max column norm) and m = N (operator norm) are exact identities in both
     modes.
     """
-    return _sparse_norm_at(A, m, mode)[0]
+    require_int("m", m, 1, A.N)
+    return _sparse_norms(A, [m], mode)[0][0]
 
 
 def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProfile:
@@ -425,7 +443,7 @@ def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProf
         ms.append(m)
         m *= 2
     ms.append(A.N)
-    values, certificates = zip(*(_sparse_norm_at(A, m, mode) for m in ms))
+    values, certificates = zip(*_sparse_norms(A, ms, mode))
     a_m = np.maximum.accumulate(np.asarray(values))
     return SparseNormProfile(
         m_values=np.asarray(ms, dtype=np.int64),
@@ -597,22 +615,22 @@ _NET_LOG2_CLOUD = {2: 13, 3: 16, 4: 17, 5: 16, 6: 16, 7: 16, 8: 16}
 _HULL_REPAIR_MAX_N = 5
 
 
-def _greedy_extend(accepted: list[np.ndarray], cands: np.ndarray, eps_sq: float) -> list[np.ndarray]:
-    """Append, in order, every candidate farther than epsilon from all points
-    accepted so far (squared chord distance 2 - 2<a, b> > eps_sq).  Blocks
-    stay small, as each row is also checked against its block's fresh rows."""
+def _greedy_extend(accepted: np.ndarray, cands: np.ndarray, eps_sq: float) -> np.ndarray:
+    """The accepted rows followed, in order, by every candidate farther than
+    epsilon from all rows accepted before it (squared chord distance
+    2 - 2<a, b> > eps_sq).  Blocks stay small, as each row is also checked
+    against its block's fresh rows."""
     while len(cands):
-        block = np.asarray(accepted)
-        part, cands = np.split(cands, [min(1024, _BLOCK_ENTRIES // len(block))])
-        base_min = np.min(2.0 - 2.0 * part @ block.T, axis=1)
-        fresh: list[np.ndarray] = []
+        part, cands = np.split(cands, [min(1024, _BLOCK_ENTRIES // len(accepted))])
+        base_min = np.min(2.0 - 2.0 * part @ accepted.T, axis=1)
+        fresh: list[int] = []
         for j in range(len(part)):
             d2 = base_min[j]
             if fresh and d2 > eps_sq:
-                d2 = min(d2, np.min(2.0 - 2.0 * np.asarray(fresh) @ part[j]))
+                d2 = min(d2, np.min(2.0 - 2.0 * part[fresh] @ part[j]))
             if d2 > eps_sq:
-                fresh.append(part[j])
-        accepted.extend(fresh)
+                fresh.append(j)
+        accepted = np.concatenate([accepted, part[fresh]])
     return accepted
 
 
@@ -627,7 +645,7 @@ def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
     cands = g / np.linalg.norm(g, axis=1)[:, None]
 
     eps_sq = epsilon * epsilon
-    accepted = _greedy_extend([cands[0]], cands[1:], eps_sq)
+    accepted = _greedy_extend(cands[:1], cands[1:], eps_sq)
     if n <= _HULL_REPAIR_MAX_N:
         from scipy.spatial import ConvexHull
 
@@ -637,15 +655,14 @@ def _net_points_cached(n: int, epsilon: float) -> np.ndarray:
     # every cap is within epsilon: the set is then maximal on the sphere.
     before = 0
     while n <= _HULL_REPAIR_MAX_N and len(accepted) > before:
-        eq = ConvexHull(np.asarray(accepted)).equations
+        eq = ConvexHull(accepted).equations
         depth = 2.0 + 2.0 * eq[:, n]
         order = np.argsort(-depth, kind="stable")
         holes = eq[order[depth[order] > eps_sq], :n]
         before = len(accepted)
         accepted = _greedy_extend(accepted, holes, eps_sq)
-    points = np.asarray(accepted)
-    points.flags.writeable = False
-    return points
+    accepted.flags.writeable = False
+    return accepted
 
 
 def build_net(n: int, epsilon: float) -> SphereNet:

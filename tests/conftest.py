@@ -5,9 +5,11 @@ them.  Everything here uses the verification master seed, which is disjoint
 from the calibration seed that froze the default constants.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,18 +32,25 @@ def verification_grid(family: str = "gaussian", trials: int = 50) -> ExperimentG
     )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(env_extra=None) -> dict:
+    """This environment with the repository's src first on PYTHONPATH, so a
+    child interpreter imports the covcon under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    env.update(env_extra or {})
+    return env
+
+
 def run_cli(args, env_extra=None, cwd=None):
     """Run the CLI in a subprocess; returns the CompletedProcess."""
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "covcon.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(env_extra),
         cwd=cwd,
     )
 

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import child_env, run_cli
 from covcon import bounds, cli, experiments
 from covcon.bounds import DEFAULT_CONFIG
 from covcon.cli import (
@@ -25,7 +25,7 @@ from covcon.cli import (
     resolve_workers,
     results_csv_text,
 )
-from covcon.errors import ConfigError, NumericalError
+from covcon.errors import ConfigError, ContractError, NumericalError
 from covcon.experiments import ExperimentGrid
 from covcon.linalg import operator_deviation
 from covcon.sampler import EnsembleSpec, SampleMatrix, load_matrix, save_matrix
@@ -103,18 +103,22 @@ def test_config_strictness(tmp_path):
         parse_config("[grid]\ncells = gaussian:2:4\ntrials_per_cell = 1\nmaster_seed = 0\n")
     with pytest.raises(ConfigError, match="emit"):
         parse_config(base.replace("emit = csv, json, svg", "emit = csv, pdf"))
-    with pytest.raises(ConfigError, match="parallelism"):
-        parse_config(base.replace("parallelism = 1", "parallelism = none"))
-    with pytest.raises(ConfigError, match="parallelism"):
-        parse_config(base.replace("parallelism = 1", "parallelism = 0"))
+    for bad in ("none", "0", "2.5", "True"):
+        with pytest.raises(ConfigError, match="parallelism"):
+            parse_config(base.replace("parallelism = 1", f"parallelism = {bad}"))
     with pytest.raises(ConfigError, match="family:n:N"):
         parse_config(base.replace("gaussian:4:16", "gaussian-4-16"))
     with pytest.raises(ConfigError, match="line"):
         parse_config("[grid\ncells = gaussian:2:4\n")
 
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers(monkeypatch, tmp_path):
     assert resolve_workers(3) == 3
+    for bad in (2.5, True, 0):
+        with pytest.raises(ContractError, match="parallelism must be a positive integer"):
+            resolve_workers(bad)
+        with pytest.raises(ContractError, match="parallelism must be a positive integer"):
+            small_config(tmp_path, parallelism=bad)
     assert resolve_workers("auto") >= 1
     # "auto" counts the CPUs this process may run on, not all the host has.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
@@ -414,7 +418,7 @@ def test_cli_import_defers_qmc_and_quad():
         "assert covcon.cli.main(['net', '--n', '3', '--epsilon', '0.33']) == 0\n"
         "print(loaded())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert json.loads("\n".join(lines[1:-1]))["size"] > 0

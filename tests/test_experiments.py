@@ -122,6 +122,9 @@ def test_grid_validation():
         _grid([("gaussian", 0, 4)])
     g = _grid([["gaussian", 2, 4]])  # lists are coerced to tuples
     assert g.cells == (("gaussian", 2, 4),)
+    for bad in (2.5, True, 0):
+        with pytest.raises(ContractError, match="workers must be a positive integer"):
+            run_grid(_grid([("gaussian", 2, 4)], trials=1), workers=bad)
 
 
 @pytest.mark.parametrize(

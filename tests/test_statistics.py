@@ -413,6 +413,75 @@ def test_sparse_norm_profile_at_extreme_decimal_scales(mode):
         np.testing.assert_allclose(a_m, ref, rtol=1e-14, atol=0.0, err_msg=f"scale {s}")
 
 
+def _one_size_power(e, m, seed):
+    """Truncated power iteration for one m: the reference that the batched
+    search must reproduce bit for bit."""
+    N = e.shape[1]
+    z = rng.normal_columns(seed, range(statistics._POWER_STARTS), rng.TAG_SEARCH, N)
+
+    def project(w):
+        drop = np.argpartition(np.abs(w), N - m - 1, axis=0)[: N - m]
+        w = w.copy()
+        np.put_along_axis(w, drop, 0.0, axis=0)
+        norms = np.linalg.norm(w, axis=0)
+        norms[norms == 0.0] = 1.0
+        return w / norms
+
+    z = project(z)
+    for _ in range(statistics._POWER_ITERS):
+        z = project(e.T @ (e @ z))
+    return float(np.linalg.norm(e @ z, axis=0).max())
+
+
+def _greedy_cases():
+    for fi, family in enumerate(sampler.FAMILIES):
+        p = 1.5 if family == "lp_ball" else None
+        for n, N in ((3, 10), (6, 17), (9, 5)):  # tall, tall, wide
+            yield family, sample_ensemble(EnsembleSpec(family, n, N, 70 + fi, p))
+    A = sample_ensemble(EnsembleSpec("gaussian", 5, 12, 71))
+    e = A.entries.copy()
+    e[:, 1] = e[:, 0]  # duplicated
+    e[:, 2] = -e[:, 0]  # negated
+    e[:, 3] = 0.0  # zeroed
+    e[:, 5] = 2.0 * e[:, 4]
+    yield "duplicated_negated_zeroed", SampleMatrix(e, spec=A.spec)
+    yield "repeated_blocks", SampleMatrix(np.repeat(A.entries[:, :3], 4, axis=1), spec=A.spec)
+    yield "rounded_ties", SampleMatrix(np.round(2.0 * A.entries), spec=A.spec)
+
+
+@pytest.mark.parametrize("name, A", [pytest.param(name, A, id=f"{name}-{A.n}x{A.N}") for name, A in _greedy_cases()])
+def test_batched_greedy_matches_one_size_at_a_time(name, A):
+    # Every interior m in one batch gives the values of one m at a time, bit
+    # for bit, and each final vector is an m-sparse unit vector.
+    e = A.entries
+    ms = list(range(2, A.N))
+    values, w = statistics._thresholded_power(e, ms, A.seed)
+    assert values == [_one_size_power(e, m, A.seed) for m in ms], name
+    assert w.shape == (A.N, len(ms) * statistics._POWER_STARTS)
+    nonzeros = np.count_nonzero(w, axis=0).reshape(len(ms), -1)
+    assert np.all(nonzeros <= np.asarray(ms)[:, None]), name
+    np.testing.assert_allclose(np.linalg.norm(w[:, nonzeros.ravel() > 0], axis=0), 1.0, rtol=1e-14)
+
+
+def test_greedy_profile_draws_its_starts_once(monkeypatch):
+    A = sample_ensemble(EnsembleSpec("gaussian", 8, 32, 3))
+    prof = sparse_norm_profile(A, mode="greedy")
+    tags = []
+    normal_columns = rng.normal_columns
+
+    def spy(seed, cols, tag, n):
+        tags.append(tag)
+        return normal_columns(seed, cols, tag, n)
+
+    monkeypatch.setattr(rng, "normal_columns", spy)
+    assert np.array_equal(sparse_norm_profile(A, mode="greedy").a_m, prof.a_m)
+    assert tags == [rng.TAG_SEARCH]
+    # A single m runs the same search on the same starts.
+    ms = prof.m_values.tolist()
+    batched = [value for value, _ in statistics._sparse_norms(A, ms, "greedy")]
+    assert batched == [sparse_norm(A, m, "greedy") for m in ms]
+
+
 # --- truncation decomposition ------------------------------------------------
 
 
