@@ -21,8 +21,8 @@ words word-major: a row per word position, a column per stream.
 ``philox_block`` is the vectorised reference.  Floating-point variates come
 from fixed bit transforms of the words, documented on the functions below.
 Every transform reads one word per variate and none rejects, so draw j of a
-stream is word j: how many words a draw uses never depends on the data, and
-any window of draws can be recomputed on its own.
+stream is word j (``words_at`` reads any one on its own), and how many words
+a draw uses never depends on the data.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import U64_MAX
+from .errors import U64_MAX, ContractError
 
 __all__ = [
     "TAG_COLUMNS",
@@ -127,30 +127,26 @@ def philox_block(
     return x0, x1, x2, x3
 
 
-def raw_words(seed: int, streams: range, tag: int, count: int, start: int = 0) -> np.ndarray:
-    """Words [start, start+count) of each stream of the contiguous run
-    ``streams`` (a step-1 range), word-major: shape (count, len(streams)).
+def raw_words(seed: int, streams: range, tag: int, count: int) -> np.ndarray:
+    """Words [0, count) of each stream of the contiguous run ``streams`` (a
+    step-1 range, else ContractError), word-major: shape (count, len(streams)).
 
     Block b is one call of a single ``np.random.Philox``, started at counter
-    (streams.start, 0, first block, tag) minus one, as numpy increments
-    before its first block; between blocks it advances by 2^128 - m, from
-    (streams.start + m, 0, b, tag) to (streams.start, 0, b + 1, tag).  Any
-    (start, count) window of a stream is reproducible in isolation.
+    (streams.start, 0, 0, tag) minus one, as numpy increments before its
+    first block; between blocks it advances by 2^128 - m, from
+    (streams.start + m, 0, b, tag) to (streams.start, 0, b + 1, tag).
     """
+    if not (isinstance(streams, range) and streams.step == 1):
+        raise ContractError(f"streams must be a step-1 range, got {streams!r}")
     m = len(streams)
-    if count <= 0:
-        return np.empty((0, m), dtype=np.uint64)
-    first_block = start // 4
-    blocks = (start + count - 1) // 4 + 1 - first_block
+    blocks = (count + 3) // 4
     words = np.empty((4 * blocks, m), dtype=np.uint64)
-    counter = (streams.start + (first_block << 128) + (tag << 192) - 1) % (1 << 256)
-    bitgen = np.random.Philox(counter=counter, key=seed)
+    bitgen = np.random.Philox(counter=(streams.start + (tag << 192) - 1) % (1 << 256), key=seed)
     for i in range(blocks):
         if i:
             bitgen.advance((1 << 128) - m)
         words[4 * i : 4 * i + 4] = bitgen.random_raw(4 * m).reshape(m, 4).T
-    lo = start - 4 * first_block
-    return words[lo : lo + count]
+    return words[:count]
 
 
 def words_at(seed: int, streams: np.ndarray, tag: int, positions: np.ndarray) -> np.ndarray:

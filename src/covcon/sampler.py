@@ -27,8 +27,8 @@ fixed number of words from its own counter-based stream (see rng) — n for
 gaussian, exponential_product, rademacher_control and the cube, n + 1 for
 euclidean_ball, 2n + 1 for lp_ball — so it depends on (seed, j) alone, and
 ``_columns`` draws any range of columns bit-identical to the same columns of
-the full draw.  The words of a run of streams come word-major (see rng), so
-they are already laid out as that n-row block: nothing is transposed.
+the full draw, and every draw is ``column_blocks``'s run of such ranges.  The
+words of a run of streams come word-major (see rng): already that n-row block.
 The l_p ball uses the exact rejection-free construction: draw g_i with
 density proportional to exp(-|t|^p), an independent exponential W, and map
 g / (sum |g_i|^p + W)^{1/p} onto the ball.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "EnsembleSpec",
     "SampleMatrix",
     "isotropic_scale",
+    "column_blocks",
     "sample_ensemble",
     "save_matrix",
     "load_matrix",
@@ -61,13 +63,11 @@ __all__ = [
 #: Memory budget for a single sample matrix (entries, not bytes).
 MAX_ELEMENTS = 1 << 25
 
-#: Columns per chunk of a streamed draw (at most MAX_ELEMENTS // n).  At
-#: n = 16 and the default fresh_T = 100,000, the fresh-sample truncation
-#: split in 8,192-column chunks peaks at 3.7 MiB traced, against 36.6 MiB as
-#: one chunk; a trial that streams its Gram product in such chunks ran
-#: gaussian 64 x 2^20 at 71 MB of RSS (184 MB with 65,536 columns).  It is
-#: at least every N of the golden, calibration and verification grids, so a
-#: trial that adopts it draws those cells as one chunk, byte for byte.
+#: Columns per block of every draw (at most MAX_ELEMENTS // n; see column_blocks).
+#: At n = 16, 8,192-column blocks hold the fresh-sample truncation split's traced
+#: peak to 3.7 MiB (36.6 MiB as one block) and a whole 16 x 100,000 draw's to
+#: 1.33-1.46x the matrix bytes (3.0-4.6x as one block).  It is at least every N
+#: of the golden, calibration and verification grids, so each of their draws is one block.
 CHUNK_COLUMNS = 1 << 13
 
 
@@ -239,11 +239,22 @@ def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.
     return _DRAWS[spec.family](spec, cols, tag)
 
 
+def column_blocks(spec: EnsembleSpec, tag: int) -> Iterator[np.ndarray]:
+    """`spec`'s columns under `tag` in order, in blocks of max(1, min(CHUNK_COLUMNS, MAX_ELEMENTS // n))."""
+    step = max(1, min(CHUNK_COLUMNS, MAX_ELEMENTS // spec.n))
+    for j in range(0, spec.N, step):
+        yield _columns(spec, range(j, min(j + step, spec.N)), tag)
+
+
 def sample_ensemble(spec: EnsembleSpec) -> SampleMatrix:
-    """The one whole-matrix draw: the n x N matrix of `spec`, bit-identical across reruns."""
+    """The n x N matrix of `spec`, bit-identical across reruns, written block by block."""
     if spec.n * spec.N > MAX_ELEMENTS:
         raise ResourceError(f"n*N = {spec.n * spec.N} exceeds the sample budget of {MAX_ELEMENTS} entries")
-    return SampleMatrix(entries=_columns(spec, range(spec.N)), spec=spec)
+    entries, j = np.empty((spec.n, spec.N)), 0
+    for block in column_blocks(spec, rng.TAG_COLUMNS):
+        entries[:, j : j + block.shape[1]] = block
+        j += block.shape[1]
+    return SampleMatrix(entries=entries, spec=spec)
 
 
 # --- serialization -----------------------------------------------------------

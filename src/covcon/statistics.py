@@ -548,8 +548,8 @@ def truncation_split(
     (`analytic_isotropic`; available for gaussian and euclidean_ball at any
     direction, exponential_product along coordinate directions) or from only
     the `fresh_T` projections of a fresh sample drawn from the matrix seed in
-    a separate counter namespace, in chunks of max(1, min(CHUNK_COLUMNS,
-    MAX_ELEMENTS // n)) columns, so at any n and in bounded memory.  They
+    a separate counter namespace, projected block by block as
+    `sampler.column_blocks` yields it, so at any n and in bounded memory.  They
     obey the truncated-moment rule of the sample's terms, divided by their
     second moment, so the truncated and excess parts sum to 1 (the isotropic
     value) up to rounding and the recombination inequality
@@ -576,12 +576,10 @@ def truncation_split(
         if A.spec is None:
             raise ContractError("fresh_sample expectations need the generating spec")
         require_int("fresh_T", fresh_T)
-        spec = replace(A.spec, N=fresh_T)
-        step = max(1, min(sampler.CHUNK_COLUMNS, sampler.MAX_ELEMENTS // A.n))
         if fresh_T > sampler.MAX_ELEMENTS:
             raise ResourceError(f"fresh_T = {fresh_T} exceeds the sample budget of {sampler.MAX_ELEMENTS} entries")
-        chunks = (range(j, min(j + step, fresh_T)) for j in range(0, fresh_T, step))
-        fp = np.concatenate([x @ sampler._columns(spec, cols, rng.TAG_FRESH) for cols in chunks])
+        blocks = sampler.column_blocks(replace(A.spec, N=fresh_T), rng.TAG_FRESH)
+        fp = np.concatenate([x @ block for block in blocks])
         m2 = float(np.mean(fp**2))
         if m2 == 0.0:
             raise ContractError("fresh sample has zero second moment along x")
@@ -622,12 +620,12 @@ def _greedy_extend(accepted: np.ndarray, cands: np.ndarray, eps_sq: float) -> np
     against its block's fresh rows."""
     while len(cands):
         part, cands = np.split(cands, [min(1024, _BLOCK_ENTRIES // len(accepted))])
-        base_min = np.min(2.0 - 2.0 * part @ accepted.T, axis=1)
+        base_min = 2.0 - 2.0 * np.max(part @ accepted.T, axis=1)
         fresh: list[int] = []
         for j in range(len(part)):
             d2 = base_min[j]
             if fresh and d2 > eps_sq:
-                d2 = min(d2, np.min(2.0 - 2.0 * part[fresh] @ part[j]))
+                d2 = min(d2, 2.0 - 2.0 * np.max(part[fresh] @ part[j]))
             if d2 > eps_sq:
                 fresh.append(j)
         accepted = np.concatenate([accepted, part[fresh]])
@@ -708,5 +706,5 @@ def net_covering_radius_probe(net: SphereNet, probes: int = 10_000, seed: int = 
     require_int("seed", seed, 0, U64_MAX)
     q = probe_directions(net.n, probes, seed)
     step = min(4096, _BLOCK_ENTRIES // len(net.points))
-    d2 = max(np.min(2.0 - 2.0 * q[lo : lo + step] @ net.points.T, axis=1).max() for lo in range(0, probes, step))
+    d2 = 2.0 - 2.0 * min(np.max(q[lo : lo + step] @ net.points.T, axis=1).min() for lo in range(0, probes, step))
     return float(np.sqrt(max(d2, 0.0)))

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from covcon import rng
+from covcon.errors import ContractError
 
 # First output of the SplitMix64 sequence seeded with 0 (reference value
 # from the published algorithm).
@@ -64,7 +66,7 @@ def test_raw_words_match_numpy_streams():
     for seed in (0, 77, 2**63 + 5, 2**64 - 1):
         for s0, block, tag in ((1, 0, 0), (3, 1, rng.TAG_PROBES), (2**40 + 9, 10, rng.TAG_SEARCH)):
             bitgen = np.random.Philox(counter=[s0, 0, block, tag], key=seed)
-            ours = rng.raw_words(seed, range(s0 + 1, s0 + 11), tag, 4, start=4 * block)
+            ours = rng.raw_words(seed, range(s0 + 1, s0 + 11), tag, 4 * block + 4)[4 * block :]
             assert np.array_equal(ours, bitgen.random_raw(40).reshape(10, 4).T)
 
 
@@ -86,9 +88,9 @@ def test_raw_words_match_reference_layout():
             for tag in range(4):
                 for start in range(8):
                     for count in (1, 4, 41):
-                        ours = rng.raw_words(seed, streams, tag, count, start)
-                        assert ours.shape == (count, len(streams)) and ours.dtype == np.uint64
-                        assert np.array_equal(ours, _reference_words(seed, streams, tag, count, start))
+                        ours = rng.raw_words(seed, streams, tag, start + count)
+                        assert ours.shape == (start + count, len(streams)) and ours.dtype == np.uint64
+                        assert np.array_equal(ours[start:], _reference_words(seed, streams, tag, count, start))
 
 
 def test_raw_words_build_one_generator_per_call(monkeypatch):
@@ -100,11 +102,21 @@ def test_raw_words_build_one_generator_per_call(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    # Words 3..12 touch blocks 0..3 and words 9..18 blocks 2..4; each call
-    # makes one generator, on its first block's counter, for all 50 streams.
-    rng.raw_words(5, range(7, 57), rng.TAG_COLUMNS, 10, start=3)
-    rng.raw_words(5, range(7, 57), rng.TAG_PROBES, 10, start=9)
-    assert made == [7 - 1, 7 + (2 << 128) + (rng.TAG_PROBES << 192) - 1]
+    # Words 0..12 touch blocks 0..3 and words 0..18 blocks 0..4; each call
+    # makes one generator, on block 0's counter, for all 50 streams.
+    rng.raw_words(5, range(7, 57), rng.TAG_COLUMNS, 13)
+    rng.raw_words(5, range(7, 57), rng.TAG_PROBES, 19)
+    assert made == [7 - 1, 7 + (rng.TAG_PROBES << 192) - 1]
+
+
+@pytest.mark.parametrize("streams", [range(0, 10, 2), range(4, 0, -1), [0, 1, 2]], ids=repr)
+def test_raw_words_take_only_step_one_ranges(streams):
+    # A stepped or reversed range would silently read the streams of
+    # range(start, start + len); the draw refuses it instead.
+    with pytest.raises(ContractError, match="step-1 range"):
+        rng.raw_words(5, streams, rng.TAG_COLUMNS, 4)
+    with pytest.raises(ContractError, match="step-1 range"):
+        rng.normal_columns(5, streams, rng.TAG_COLUMNS, 4)
 
 
 def test_philox_block_broadcasts_counter_words():
@@ -136,16 +148,6 @@ def test_philox_counter_words_are_independent_axes():
     assert _block(1, 0, 1, 0, 7) != base
     assert _block(1, 0, 0, 1, 7) != base
     assert _block(1, 0, 0, 0, 8) != base
-
-
-def test_raw_words_window_consistency():
-    streams = range(3)
-    full = rng.raw_words(99, streams, rng.TAG_COLUMNS, 40)
-    assert full.shape == (40, 3)
-    assert full.dtype == np.uint64
-    # A shifted window reads the same underlying stream.
-    shifted = rng.raw_words(99, streams, rng.TAG_COLUMNS, 25, start=7)
-    assert np.array_equal(shifted, full[7:32])
 
 
 def test_words_at_matches_windows():
@@ -217,8 +219,8 @@ def test_normal_columns_read_one_word_per_draw():
     z = rng.normal_columns(21, streams, rng.TAG_COLUMNS, 40)
     words = rng.raw_words(21, streams, rng.TAG_COLUMNS, 40)
     assert np.array_equal(z, rng.normal_from_words(words))
-    window = rng.raw_words(21, streams, rng.TAG_COLUMNS, 9, start=31)
-    assert np.array_equal(z[31:], rng.normal_from_words(window))
+    window = rng.raw_words(21, range(2, 5), rng.TAG_COLUMNS, 40)[31:]
+    assert np.array_equal(z[31:, 2:], rng.normal_from_words(window))
 
 
 def test_normal_columns_prefix_stability():

@@ -196,14 +196,33 @@ def test_each_family_reads_its_documented_words(spec, monkeypatch):
     calls = []
     raw_words = rng.raw_words
 
-    def spy(seed, streams, tag, count, start=0):
-        calls.append((seed, streams, tag, count, start))
-        return raw_words(seed, streams, tag, count, start)
+    def spy(seed, streams, tag, count):
+        calls.append((seed, streams, tag, count))
+        return raw_words(seed, streams, tag, count)
 
     monkeypatch.setattr(rng, "raw_words", spy)
     sample_ensemble(spec)
     count = WORDS_PER_COLUMN[_token(spec)](spec.n)
-    assert calls == [(spec.seed, range(spec.N), rng.TAG_COLUMNS, count, 0)]
+    assert calls == [(spec.seed, range(spec.N), rng.TAG_COLUMNS, count)]
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=_token)
+def test_whole_draw_is_the_column_block_stream(spec, monkeypatch):
+    # The refusal n*N <= MAX_ELEMENTS keeps MAX_ELEMENTS // n >= N, so a
+    # whole draw spans several blocks only through CHUNK_COLUMNS: 40 columns
+    # in 7-column blocks come as five full blocks and a 5-column tail.
+    whole = sampler._columns(spec, range(spec.N), rng.TAG_COLUMNS)
+    widths = []
+    columns = sampler._columns
+    monkeypatch.setattr(sampler, "CHUNK_COLUMNS", 7)
+    monkeypatch.setattr(sampler, "_columns", lambda spec, cols, tag: widths.append(len(cols)) or columns(spec, cols, tag))
+    assert np.array_equal(sample_ensemble(spec).entries, whole)
+    assert widths == [7] * 5 + [5]
+    widths.clear()
+    monkeypatch.setattr(sampler, "MAX_ELEMENTS", 3 * spec.n)
+    blocks = list(sampler.column_blocks(spec, rng.TAG_FRESH))
+    assert widths == [3] * 13 + [1]
+    assert np.array_equal(np.hstack(blocks), columns(spec, range(spec.N), rng.TAG_FRESH))
 
 
 @pytest.mark.parametrize("p", [800.0, 2000.0, 1e5])
@@ -215,10 +234,10 @@ def test_lp_ball_stays_isotropic_at_large_p(p):
     assert np.all(np.abs((A.entries**2).mean(axis=1) - 1.0) <= 0.03)
 
 
-@pytest.mark.parametrize("family", ["gaussian", "exponential_product"])
+@pytest.mark.parametrize("family", ["gaussian", "exponential_product", "euclidean_ball"])
 def test_sampling_memory_multiple(family):
-    # The draw writes the n x N matrix in place; the words and the inverse
-    # CDF's input are the only full-size temporaries.
+    # The draw writes CHUNK_COLUMNS-column blocks into the preallocated n x N
+    # matrix, so only the matrix and its finiteness mask are full-size.
     spec = EnsembleSpec(family, 16, 100_000, 3)
     sample_ensemble(replace(spec, N=64))  # warm up lazily allocated state
     tracemalloc.start()
@@ -227,7 +246,7 @@ def test_sampling_memory_multiple(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * mat.entries.nbytes
+    assert peak <= 1.6 * mat.entries.nbytes
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)

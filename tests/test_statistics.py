@@ -730,6 +730,13 @@ def test_net_points_are_pinned():
         assert hashlib.sha256(np.ascontiguousarray(points).tobytes()).hexdigest() == digest, n
 
 
+def test_net_probe_radius_is_pinned():
+    # 4097 probes span several blocks; 2 - 2 max<q, y> must give the bits of
+    # min(2 - 2<q, y>), since fl(2 - 2y) is monotone in y.
+    radii = {n: net_covering_radius_probe(build_net(n, 1.0 / 3.0), 4097, 7) for n in (3, 6)}
+    assert {n: repr(r) for n, r in radii.items()} == {3: "0.32536814210208664", 6: "0.37045716974690995"}
+
+
 def test_net_has_no_deep_hole():
     # Each hull facet a.x + b = 0 bounds an empty cap of squared chord radius
     # 2 + 2b; the covering radius is the largest of these.
