@@ -194,7 +194,8 @@ def results_csv_text(results: list[CellResult]) -> str:
 
 def read_results_csv(path) -> list[CellResult]:
     """Rebuild per-cell results from a results CSV (repr round-trips floats
-    exactly).  psi_hat is not recoverable from rows and is recorded as 0."""
+    exactly); each cell's rows must read trial 0, 1, 2, ... in order.  psi_hat
+    is not recoverable from rows and is recorded as 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -205,9 +206,11 @@ def read_results_csv(path) -> list[CellResult]:
             if len(row) != len(_CSV_COLUMNS):
                 raise ContractError(f"results CSV row has {len(row)} fields, expected {len(_CSV_COLUMNS)}")
             family, n, N = row[0], int(row[1]), int(row[2])
+            reports = grouped.setdefault((family, n, N), [])
+            if row[3] != str(len(reports)):
+                raise ContractError(f"results CSV cell ({family}, {n}, {N}): trial {row[3]!r}, expected {len(reports)}")
             floats = {name: float(v) for name, v in zip(_CSV_FLOATS, row[5:])}
-            report = DeviationReport(n=n, N=N, seed=int(row[4]), **floats)
-            grouped.setdefault((family, n, N), []).append(report)
+            reports.append(DeviationReport(n=n, N=N, seed=int(row[4]), **floats))
     results = []
     for cell, reports in grouped.items():
         summary = experiments.summarize_reports(tuple(reports), 0.0)

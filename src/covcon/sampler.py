@@ -11,6 +11,13 @@ and isotropic: E X = 0 and E X X^T = I.  The families:
     rademacher_control   i.i.d. +-1 coordinates (isotropic but NOT log-concave;
                          kept as a control case for the estimators)
 
+All the module knows of a family is its row of ``_FAMILY_TABLE``: the column
+draw, the exact isotropic scale, the least exponent p it takes, the constraint
+of its hard support and whether its law is log-concave.  Spec checks, scales,
+family tokens ('name' or 'name(p)') and the loader read the row and name no
+family.  A new family is one draw function and one row, appended: a row's
+position is the family's tag in saved files.
+
 Isotropy normalizations are exact:
 
   * ball of radius r: E|X|^2 = n r^2/(n+2) by the radial integral
@@ -23,22 +30,18 @@ Isotropy normalizations are exact:
     scale factor is the inverse square root of that (computed via log-Gamma).
 
 Sampling is a pure function of the spec (seed included): column j reads a
-fixed number of words from its own counter-based stream (see rng) — n for
-gaussian, exponential_product, rademacher_control and the cube, n + 1 for
-euclidean_ball, 2n + 1 for lp_ball — so it depends on (seed, j) alone, and
-``_columns`` draws any range of columns bit-identical to the same columns of
-the full draw, and every draw is ``column_blocks``'s run of such ranges.  The
-words of a run of streams come word-major (see rng): already that n-row block.
-The l_p ball uses the exact rejection-free construction: draw g_i with
-density proportional to exp(-|t|^p), an independent exponential W, and map
-g / (sum |g_i|^p + W)^{1/p} onto the ball.
+fixed number of words from its own counter-based stream (see rng), so it
+depends on (seed, j) alone, ``_columns`` draws any range of columns
+bit-identical to the same columns of the full draw, and every draw is
+``column_blocks``'s run of such ranges.  The words of a run of streams come
+word-major (see rng): already that n-row block.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +90,18 @@ class EnsembleSpec:
         require_int("n", self.n)
         require_int("N", self.N)
         require_int("seed", self.seed, 0, U64_MAX)
-        if self.family == "lp_ball":
-            if self.p is None:
-                raise ContractError("lp_ball requires the exponent p")
-            if not (self.p >= 1.0):
-                raise ContractError(f"lp_ball requires p >= 1 (convexity), got {self.p!r}")
-        elif self.p is not None:
-            raise ContractError(f"p is only meaningful for lp_ball, got p={self.p!r} for {self.family}")
+        p_min = _FAMILY_TABLE[self.family].p_min
+        if p_min is None:
+            if self.p is not None:
+                raise ContractError(f"{self.family} takes no exponent, got p={self.p!r}")
+        elif self.p is None:
+            raise ContractError(f"{self.family} requires the exponent p")
+        elif not (self.p >= p_min):
+            raise ContractError(f"{self.family} requires p >= {p_min:g}, got {self.p!r}")
 
     @property
     def log_concave(self) -> bool:
-        return self.family in LOG_CONCAVE_FAMILIES
+        return _FAMILY_TABLE[self.family].log_concave
 
 
 @dataclass(frozen=True)
@@ -146,34 +150,36 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> float:
     in dimension n to identity covariance.  The arguments obey EnsembleSpec's
     rules."""
     EnsembleSpec(family=family, n=n, N=1, seed=0, p=p)
-    if family == "gaussian" or family == "rademacher_control":
-        factor = 1.0
-    elif family == "euclidean_ball":
-        factor = math.sqrt(n + 2.0)
-    elif family == "exponential_product":
-        factor = 2.0**-0.5
-    elif math.isinf(p):
-        factor = math.sqrt(3.0)
-    else:
-        # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
-        # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
-        log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
-        factor = float(np.exp(-0.5 * log_var))
-    return factor
+    return _FAMILY_TABLE[family].scale(n, p)
+
+
+def _lp_scale(n: int, p: float) -> float:
+    if math.isinf(p):
+        return math.sqrt(3.0)
+    # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
+    # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
+    log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
+    return float(np.exp(-0.5 * log_var))
+
+
+def _lp_norm(x: np.ndarray, p: float) -> float:
+    """The largest column l_p norm of x, to the p-th power when p is finite."""
+    a = np.abs(x)
+    return float(a.max() if math.isinf(p) else np.sum(a**p, axis=0).max())
 
 
 def _columns_gaussian(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     return rng.normal_columns(spec.seed, cols, tag, spec.n)
 
 
-def _columns_euclidean_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+def _columns_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     # Fixed word layout per column: n normal words, then one radius word.
     n = spec.n
     words = rng.raw_words(spec.seed, cols, tag, n + 1)
     g = rng.normal_from_words(words[:n])
     norms = np.linalg.norm(g, axis=0)
     # Place the direction g/|g| at radius r * U^{1/n}.
-    limit = isotropic_scale("euclidean_ball", n)
+    limit = isotropic_scale(spec.family, n)
     u = rng.uniform_open(words[n])
     radius = limit * u ** (1.0 / n)
     out = g * (radius / norms)
@@ -188,7 +194,7 @@ def _columns_euclidean_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.nda
 def _columns_exponential(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     words = rng.raw_words(spec.seed, cols, tag, spec.n)
     out = rng.laplace_from_words(words)
-    out *= isotropic_scale("exponential_product", spec.n)
+    out *= isotropic_scale(spec.family, spec.n)
     return out
 
 
@@ -199,7 +205,7 @@ def _columns_rademacher(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray
 
 def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     n, p = spec.n, spec.p
-    factor = isotropic_scale("lp_ball", n, p)
+    factor = isotropic_scale(spec.family, n, p)
     if math.isinf(p):
         words = rng.raw_words(spec.seed, cols, tag, n)
         return factor * rng.uniform_sym(words)
@@ -218,25 +224,37 @@ def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     return factor * signs * mag / denom
 
 
-#: Each family's column draw, in the order of its binary-format tag: append new families last.
-_DRAWS = {
-    "gaussian": _columns_gaussian,
-    "euclidean_ball": _columns_euclidean_ball,
-    "exponential_product": _columns_exponential,
-    "lp_ball": _columns_lp_ball,
-    "rademacher_control": _columns_rademacher,
+@dataclass(frozen=True)
+class _Row:
+    """One family's facts (see the module docstring); None marks a fact the family lacks."""
+
+    draw: Callable[[EnsembleSpec, range, int], np.ndarray]  # (spec, cols, tag) -> columns cols
+    scale: Callable[[int, float | None], float]  # (n, p) -> the exact isotropic scale
+    p_min: float | None  # the least exponent p; None when the family takes none
+    support: Callable[[np.ndarray, float | None], float] | None  # (x / scale, p) -> a value <= 1 on the support
+    log_concave: bool
+
+
+#: One row per family, in the order of its binary-format tag: append new families last.
+_FAMILY_TABLE = {
+    "gaussian": _Row(_columns_gaussian, lambda n, p: 1.0, None, None, True),
+    "euclidean_ball": _Row(_columns_ball, lambda n, p: math.sqrt(n + 2.0), None, lambda x, p: _lp_norm(x, 2), True),
+    "exponential_product": _Row(_columns_exponential, lambda n, p: 2.0**-0.5, None, None, True),
+    "lp_ball": _Row(_columns_lp_ball, _lp_scale, 1.0, _lp_norm, True),
+    # 1 + the largest distance of an |x_i| from 1: exactly 1 on {-1, 1}^n.
+    "rademacher_control": _Row(
+        _columns_rademacher, lambda n, p: 1.0, None, lambda x, p: 1.0 + float(np.abs(np.abs(x) - 1.0).max()), False
+    ),
 }
 
-FAMILIES = tuple(_DRAWS)
+FAMILIES = tuple(_FAMILY_TABLE)
 
-#: Families whose law is log-concave; rademacher_control is the deliberate
-#: exception (its two-point coordinate law has no density).
-LOG_CONCAVE_FAMILIES = frozenset(FAMILIES) - {"rademacher_control"}
+LOG_CONCAVE_FAMILIES = frozenset(name for name, row in _FAMILY_TABLE.items() if row.log_concave)
 
 
 def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.ndarray:
     """Columns ``cols`` (a contiguous range) of `spec`'s matrix, shape (n, len(cols))."""
-    return _DRAWS[spec.family](spec, cols, tag)
+    return _FAMILY_TABLE[spec.family].draw(spec, cols, tag)
 
 
 def column_blocks(spec: EnsembleSpec, tag: int) -> Iterator[np.ndarray]:
@@ -261,7 +279,7 @@ def sample_ensemble(spec: EnsembleSpec) -> SampleMatrix:
 #
 # Binary layout, version 1: little-endian header
 #   magic "CVCN" | version u32 | n u64 | N u64 | family tag u32 | seed u64 |
-#   param f64 (the l_p exponent; 0.0 when the family has none)
+#   param f64 (the exponent p; 0.0, and only 0.0, when the family takes none)
 # followed by n*N float64 entries in column order.  The param field exists so
 # a file round-trips to the exact generating spec (needed to re-check family
 # support constraints on load).
@@ -275,37 +293,15 @@ _FAMILY_TAGS = {name: i for i, name in enumerate(FAMILIES)}
 def parse_family_token(token: str) -> tuple[str, float | None]:
     """(family, p) of a family token, e.g. 'gaussian' or 'lp_ball(1.5)'."""
     token = token.strip()
-    if token.startswith("lp_ball(") and token.endswith(")"):
-        text = token[len("lp_ball(") : -1]
+    name, paren, rest = token.partition("(")
+    if paren and rest.endswith(")") and name in FAMILIES:
         try:
-            p = float(text)
+            return name, float(rest[:-1])
         except ValueError as exc:
-            raise ContractError(f"bad lp_ball exponent {text!r}") from exc
-        return "lp_ball", p
+            raise ContractError(f"bad {name} exponent {rest[:-1]!r}") from exc
     if token in FAMILIES:
         return token, None
     raise ContractError(f"unknown family token {token!r}")
-
-
-def _check_support(mat: SampleMatrix) -> None:
-    """Re-check the hard support constraints of bounded families."""
-    spec = mat.spec
-    if spec is None:
-        return
-    if spec.family == "euclidean_ball":
-        limit = isotropic_scale("euclidean_ball", spec.n)
-        worst = mat.max_column_norm()
-        if worst > limit * (1.0 + 1e-12):
-            raise ContractError(f"euclidean_ball support violated: column norm {worst} > {limit}")
-    elif spec.family == "lp_ball":
-        factor = isotropic_scale("lp_ball", spec.n, spec.p)
-        scaled = np.abs(mat.entries) / factor
-        if math.isinf(spec.p):
-            worst = float(scaled.max())
-        else:
-            worst = float(np.max(np.sum(scaled**spec.p, axis=0)))
-        if worst > 1.0 + 1e-12:
-            raise ContractError(f"lp_ball support violated: constraint value {worst} > 1")
 
 
 def save_matrix(mat: SampleMatrix, path) -> None:
@@ -329,7 +325,8 @@ def save_matrix(mat: SampleMatrix, path) -> None:
 
 
 def load_matrix(path) -> SampleMatrix:
-    """Read the binary format, validate the header, re-check support bounds."""
+    """Read the binary format, validate the header against the family's row,
+    re-check its support constraint."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -349,7 +346,10 @@ def load_matrix(path) -> SampleMatrix:
     if not np.isfinite(payload).all():
         raise ContractError(f"{path}: payload contains non-finite values")
     entries = np.ascontiguousarray(payload.reshape(N, n).T)
-    spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=param if family == "lp_ball" else None)
-    mat = SampleMatrix(entries=entries, spec=spec)
-    _check_support(mat)
-    return mat
+    p = None if _FAMILY_TABLE[family].p_min is None and param == 0.0 else param
+    spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
+    support = _FAMILY_TABLE[family].support
+    worst = 0.0 if support is None else support(entries / isotropic_scale(family, n, p), p)
+    if worst > 1.0 + 1e-12:
+        raise ContractError(f"{path}: {family} support violated: constraint value {worst} > 1")
+    return SampleMatrix(entries=entries, spec=spec)

@@ -373,6 +373,21 @@ def test_fit_command_matches_library(small_run):
     assert doc == json.loads((small_run["dir"] / "scaling.json").read_text())
 
 
+def test_fit_refuses_trial_rows_out_of_order(small_run, tmp_path):
+    # Each cell's rows must read trial 0, 1, 2, ... in order.  Five copies of
+    # a row appended to a 10-trial run would otherwise fit a 15-trial cell.
+    header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "bad.csv"
+    for bad in (rows + rows[-1:] * 5, rows[1:], [rows[1], rows[0], *rows[2:]]):
+        path.write_text(header + "".join(bad))
+        with pytest.raises(ContractError, match=r"results CSV cell \(gaussian, 4, (16|256)\): trial '\d+', expected"):
+            read_results_csv(path)
+    path.write_text(header + "".join(rows + rows[-1:] * 5))
+    proc = run_cli(["fit", "--results", str(path)])
+    assert proc.returncode == 2
+    assert "trial '9', expected 10" in proc.stderr
+
+
 # --- plot --------------------------------------------------------------------
 
 

@@ -137,6 +137,7 @@ def test_grid_validation():
         (("gaussian", 2.7, 8.9), "n must be a positive integer"),
         (("gaussian", True, 8), "n must be a positive integer"),
         (("gaussian", 4, 16), "repeats an earlier cell"),
+        (("gaussian(2)", 4, 100), "gaussian takes no exponent, got p=2.0"),
     ],
 )
 def test_grid_validates_cells_as_ensemble_specs(cell, reason):

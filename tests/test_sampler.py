@@ -1,6 +1,7 @@
 """Ensemble sampling: isotropy, supports, determinism, serialization."""
 
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -107,10 +108,31 @@ def test_scale_lp2_matches_ball():
 
 
 def test_scale_requires_p_only_for_lp():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="lp_ball requires the exponent p"):
         isotropic_scale("lp_ball", 3)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="lp_ball requires p >= 1, got 0.5"):
+        isotropic_scale("lp_ball", 3, p=0.5)
+    with pytest.raises(ContractError, match="gaussian takes no exponent, got p=2.0"):
         isotropic_scale("gaussian", 3, p=2.0)
+
+
+@pytest.mark.parametrize("family", sampler.FAMILIES)
+def test_exponent_follows_the_family_row(family):
+    # A family's row decides whether it takes p, and the token 'name(1.5)'
+    # gets the same verdict as a spec built with p = 1.5.
+    p_min = sampler._FAMILY_TABLE[family].p_min
+    name, p = sampler.parse_family_token(f"{family}(1.5)")
+    assert (name, p) == (family, 1.5)
+    if p_min is None:
+        assert EnsembleSpec(family, 2, 3, 0).p is None
+        with pytest.raises(ContractError, match=f"{family} takes no exponent, got p=1.5"):
+            EnsembleSpec(name, 2, 3, 0, p=p)
+    else:
+        assert EnsembleSpec(name, 2, 3, 0, p=p).p == 1.5
+        with pytest.raises(ContractError, match=f"{family} requires the exponent p"):
+            EnsembleSpec(family, 2, 3, 0)
+        with pytest.raises(ContractError, match=f"{family} requires p >= "):
+            EnsembleSpec(family, 2, 3, 0, p=p_min - 0.5)
 
 
 # --- sampling: determinism, isotropy, supports -------------------------------
@@ -366,21 +388,39 @@ def test_load_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(blob[:-8]))
     with pytest.raises(ContractError):
         load_matrix(truncated)
+    # A family that takes no exponent carries param 0.0 (the f64 at offset 36).
+    bad_param = tmp_path / "param.bin"
+    bad_param.write_bytes(bytes(blob[:36]) + struct.pack("<d", 2.5) + bytes(blob[44:]))
+    with pytest.raises(ContractError, match="gaussian takes no exponent, got p=2.5"):
+        load_matrix(bad_param)
 
 
 def test_load_rechecks_support(tmp_path):
-    spec = EnsembleSpec("euclidean_ball", 2, 4, 1)
-    A = sample_ensemble(spec)
-    inflated = SampleMatrix(entries=A.entries * 3.0, spec=spec)
     path = tmp_path / "bad.bin"
-    save_matrix(inflated, path)
-    with pytest.raises(ContractError):
-        load_matrix(path)
+    for spec, factor in (
+        (EnsembleSpec("euclidean_ball", 2, 4, 1), 3.0),
+        (EnsembleSpec("lp_ball", 2, 4, 1, p=1.5), 3.0),
+        (EnsembleSpec("lp_ball", 2, 4, 1, p=math.inf), 3.0),
+        (EnsembleSpec("rademacher_control", 2, 4, 1), 3.0),
+        (EnsembleSpec("rademacher_control", 2, 4, 1), 0.5),  # inside the cube, off its vertices
+    ):
+        A = sample_ensemble(spec)
+        save_matrix(A, path)
+        assert np.array_equal(load_matrix(path).entries, A.entries)
+        save_matrix(SampleMatrix(entries=A.entries * factor, spec=spec), path)
+        with pytest.raises(ContractError, match=f"{spec.family} support violated"):
+            load_matrix(path)
 
 
 def test_family_token_round_trip():
     assert sampler.parse_family_token("gaussian") == ("gaussian", None)
     assert sampler.parse_family_token("lp_ball(1.5)") == ("lp_ball", 1.5)
     assert sampler.parse_family_token("lp_ball") == ("lp_ball", None)
-    with pytest.raises(ContractError):
-        sampler.parse_family_token("cauchy")
+    assert sampler.parse_family_token(" lp_ball(inf) ") == ("lp_ball", math.inf)
+    assert sampler.parse_family_token("gaussian(2)") == ("gaussian", 2.0)  # EnsembleSpec refuses the p
+    for bad in ("cauchy", "cauchy(2)", "lp_ball(1.5", "lp_ball (1.5)"):
+        with pytest.raises(ContractError, match="unknown family token"):
+            sampler.parse_family_token(bad)
+    for bad in ("lp_ball()", "lp_ball(x)", "lp_ball(1.5))"):
+        with pytest.raises(ContractError, match="bad lp_ball exponent"):
+            sampler.parse_family_token(bad)
