@@ -21,7 +21,6 @@ so the calibration never certifies itself.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,6 +236,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     if workers <= 1 or len(jobs) == 1:
         flat = [_trial_report(*job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 4))
             flat = list(pool.map(_trial_report, *zip(*jobs), chunksize=chunk))

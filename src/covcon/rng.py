@@ -23,14 +23,17 @@ from fixed bit transforms of the words, documented on the functions below.
 Every transform reads one word per variate and none rejects, so draw j of a
 stream is word j (``words_at`` reads any one on its own), and how many words
 a draw uses never depends on the data.
+
+``scipy.special`` loads on first use, inside ``normal_from_words``: it is
+most of the package's import time, and a command that draws nothing should
+not pay for it.  A later call's import is one ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
-from .errors import U64_MAX, ContractError
+from .errors import U64_MAX, ContractError, require_int
 
 __all__ = [
     "TAG_COLUMNS",
@@ -130,6 +133,7 @@ def philox_block(
 def raw_words(seed: int, streams: range, tag: int, count: int) -> np.ndarray:
     """Words [0, count) of each stream of the contiguous run ``streams`` (a
     step-1 range, else ContractError), word-major: shape (count, len(streams)).
+    ``count`` is a non-negative int (else ContractError).
 
     Block b is one call of a single ``np.random.Philox``, started at counter
     (streams.start, 0, 0, tag) minus one, as numpy increments before its
@@ -138,6 +142,7 @@ def raw_words(seed: int, streams: range, tag: int, count: int) -> np.ndarray:
     """
     if not (isinstance(streams, range) and streams.step == 1):
         raise ContractError(f"streams must be a step-1 range, got {streams!r}")
+    require_int("count", count, 0)
     m = len(streams)
     blocks = (count + 3) // 4
     words = np.empty((4 * blocks, m), dtype=np.uint64)
@@ -193,6 +198,8 @@ def exponential_from_words(words: np.ndarray) -> np.ndarray:
 
 def normal_from_words(words: np.ndarray) -> np.ndarray:
     """Standard normal by inverse CDF, one word per draw."""
+    from scipy.special import ndtri
+
     return ndtri(uniform_open(words))
 
 

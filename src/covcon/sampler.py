@@ -35,6 +35,8 @@ depends on (seed, j) alone, ``_columns`` draws any range of columns
 bit-identical to the same columns of the full draw, and every draw is
 ``column_blocks``'s run of such ranges.  The words of a run of streams come
 word-major (see rng): already that n-row block.
+
+``scipy.special`` loads on first use, inside the l_p scale and draw (see rng).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
 
 from . import rng
 from .errors import U64_MAX, ContractError, ResourceError, require_int
@@ -156,6 +157,8 @@ def isotropic_scale(family: str, n: int, p: float | None = None) -> float:
 def _lp_scale(n: int, p: float) -> float:
     if math.isinf(p):
         return math.sqrt(3.0)
+    from scipy.special import gammaln
+
     # Coordinate variance on the unit l_p ball: Gamma(3/p) Gamma(n/p + 1) /
     # (Gamma(1/p) Gamma((n+2)/p + 1)).  Scale by its inverse square root.
     log_var = gammaln(3.0 / p) + gammaln(n / p + 1.0) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
@@ -204,6 +207,8 @@ def _columns_rademacher(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray
 
 
 def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
+    from scipy.special import gammaincinv
+
     n, p = spec.n, spec.p
     factor = isotropic_scale(spec.family, n, p)
     if math.isinf(p):
@@ -347,7 +352,10 @@ def load_matrix(path) -> SampleMatrix:
         raise ContractError(f"{path}: payload contains non-finite values")
     entries = np.ascontiguousarray(payload.reshape(N, n).T)
     p = None if _FAMILY_TABLE[family].p_min is None and param == 0.0 else param
-    spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
+    try:
+        spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
     support = _FAMILY_TABLE[family].support
     worst = 0.0 if support is None else support(entries / isotropic_scale(family, n, p), p)
     if worst > 1.0 + 1e-12:

@@ -21,6 +21,9 @@ Newton's method started to the right of the root converges monotonically;
 each step also brackets the root (tangent root above, chord root below).
 Finite-sample estimates are downward biased (they see no tail beyond the
 sample); treat them as lower bounds and report sample sizes.
+
+``scipy.special`` loads on first use, inside the closed-form truncation
+tails (see rng).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.special import betaincc, ndtr
 
 from . import rng, sampler
 from .errors import (
@@ -463,6 +465,8 @@ def _phi(t: float) -> float:
 def _gaussian_tail_excess(B: float) -> float:
     """E (g^2 - B^2) 1{|g| >= B} for standard normal g, in closed form:
     2[B phi(B) + (1 - B^2) (1 - Phi(B))]."""
+    from scipy.special import ndtr
+
     upper = 1.0 - float(ndtr(B))
     return 2.0 * (B * _phi(B) + (1.0 - B * B) * upper)
 
@@ -473,6 +477,8 @@ def _ball_tail_excess(B: float, n: int) -> float:
     Beta(1/2, (n+1)/2), and E Y^2 1{Y^2 >= B^2} is the Beta(3/2, (n+1)/2)
     tail at the same point, so both terms are regularized incomplete beta
     tails at b = min(B^2/(n+2), 1)."""
+    from scipy.special import betaincc
+
     b = min(B * B / (n + 2.0), 1.0)
     a = (n + 1) / 2.0
     return float(betaincc(1.5, a, b) - B * B * betaincc(0.5, a, b))

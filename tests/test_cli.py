@@ -440,6 +440,44 @@ def test_cli_import_defers_qmc_and_quad():
     assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
+def test_cli_starts_without_scipy_or_a_process_pool(tmp_path):
+    # Start-up and every command that draws no sample (bounds, fit, plot,
+    # --help, a config error) load numpy and the standard library only:
+    # scipy.special loads at the first draw, the process pool at the first
+    # run on more than one worker.
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(results_csv_text(experiments.run_grid(small_config(tmp_path).grid)))
+    bad_config = tmp_path / "bad.ini"
+    bad_config.write_text("[grid\ncells = gaussian:2:4\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from covcon import bounds, cli, experiments\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "print(heavy())\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes.append(cli.main(['bounds', '--n', '4', '--N', '16', '--m', '2', '--B', '3']))\n"
+        f"    codes.append(cli.main(['fit', '--results', {str(csv_path)!r}]))\n"
+        f"    codes.append(cli.main(['plot', '--results', {str(csv_path)!r}, '--out', {str(tmp_path / 'p.svg')!r}]))\n"
+        f"    codes.append(cli.main(['experiment', '--config', {str(bad_config)!r}]))\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes)\n"
+        "print(heavy())\n"
+        f"codes = [cli.main(['sample', '--family', 'gaussian', '--n', '2', '--N', '4', '--seed', '0', "
+        f"'--out', {str(tmp_path / 'm.bin')!r}])]\n"
+        "print(codes, 'scipy.special' in sys.modules)\n"
+        "grid = experiments.ExperimentGrid((('gaussian', 4, 16), ('gaussian', 4, 64)), 3, 7, bounds.DEFAULT_CONFIG)\n"
+        "one, two = (cli.results_csv_text(experiments.run_grid(grid, workers=w)) for w in (1, 2))\n"
+        "print(one == two, len(one.splitlines()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 2, 0]", "[]", "[0] True", "True 7"]
+
+
 def test_exit_code_validation_errors(tmp_path):
     assert run_cli(["sample", "--family", "cauchy", "--n", "2", "--N", "4", "--seed", "0",
                     "--out", str(tmp_path / "x.bin")]).returncode == 2

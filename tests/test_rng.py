@@ -119,6 +119,17 @@ def test_raw_words_take_only_step_one_ranges(streams):
         rng.normal_columns(5, streams, rng.TAG_COLUMNS, 4)
 
 
+@pytest.mark.parametrize("count", [-1, -3, -4, 2.0, True, np.int64(4)], ids=repr)
+def test_raw_words_refuse_a_bad_count(count):
+    # Negative, float, bool and numpy-integer counts are refused by the
+    # integer rule at both entry points; a zero count is an empty draw.
+    with pytest.raises(ContractError, match="count must be a non-negative integer"):
+        rng.raw_words(5, range(3), rng.TAG_COLUMNS, count)
+    with pytest.raises(ContractError, match="count must be a non-negative integer"):
+        rng.normal_columns(5, range(3), rng.TAG_COLUMNS, count)
+    assert rng.raw_words(5, range(3), rng.TAG_COLUMNS, 0).shape == (0, 3)
+
+
 def test_philox_block_broadcasts_counter_words():
     # Scalar counter words give the same block as full arrays of that value.
     c0 = _u64([[1, 2, 3]])

@@ -1,6 +1,7 @@
 """Ensemble sampling: isotropy, supports, determinism, serialization."""
 
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -391,8 +392,15 @@ def test_load_rejects_corruption(tmp_path):
     # A family that takes no exponent carries param 0.0 (the f64 at offset 36).
     bad_param = tmp_path / "param.bin"
     bad_param.write_bytes(bytes(blob[:36]) + struct.pack("<d", 2.5) + bytes(blob[44:]))
-    with pytest.raises(ContractError, match="gaussian takes no exponent, got p=2.5"):
+    with pytest.raises(ContractError, match=re.escape(f"{bad_param}: gaussian takes no exponent, got p=2.5")):
         load_matrix(bad_param)
+    # A zero n (offset 8) or N (offset 16) field with its empty payload: the
+    # size check passes, EnsembleSpec refuses, and the message names the file.
+    for name, offset, field in (("n0.bin", 8, "n"), ("N0.bin", 16, "N")):
+        empty = tmp_path / name
+        empty.write_bytes(bytes(blob[:offset]) + struct.pack("<Q", 0) + bytes(blob[offset + 8 : 44]))
+        with pytest.raises(ContractError, match=re.escape(f"{empty}: {field} must be a positive integer, got 0")):
+            load_matrix(empty)
 
 
 def test_load_rechecks_support(tmp_path):
