@@ -74,8 +74,7 @@ class DeviationReport(Record):
 
 def gram_covariance(A: SampleMatrix) -> np.ndarray:
     """The empirical covariance A A^T / N, an exactly symmetric n x n array."""
-    e = A.entries
-    return (e @ e.T) / A.N
+    return _gram(A.entries) / A.N
 
 
 def _jacobi(full: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -171,18 +170,23 @@ def boundedness_ratio(n: int, N: int, max_col_norm: float) -> float:
     return max_col_norm / np.sqrt(n) / max(1.0, (N / n) ** 0.25)
 
 
-def _small_gram(e: np.ndarray) -> np.ndarray:
-    """e e^T when e has no more rows than columns, else e^T e.  Overflow is
-    left as inf, which _extremal_eigenvalues rejects."""
+def _gram(e: np.ndarray) -> np.ndarray:
+    """e e^T of finite entries, refused when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return e @ e.T if e.shape[0] <= e.shape[1] else e.T @ e
+        gram = e @ e.T
+    if not np.isfinite(gram).all():
+        raise ContractError("the Gram matrix overflows: the entries are too large to square and sum")
+    return gram
+
+
+def _small_gram(e: np.ndarray) -> np.ndarray:
+    """e e^T when e has no more rows than columns, else e^T e."""
+    return _gram(e) if e.shape[0] <= e.shape[1] else _gram(e.T)
 
 
 def _extremal_eigenvalues(gram: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a finite symmetric matrix (LAPACK
     reads its lower triangle)."""
-    if not np.isfinite(gram).all():
-        raise ContractError("matrix entries contain non-finite values")
     try:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:

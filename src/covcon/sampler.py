@@ -13,10 +13,12 @@ and isotropic: E X = 0 and E X X^T = I.  The families:
 
 All the module knows of a family is its row of ``_FAMILY_TABLE``: the column
 draw, the exact isotropic scale, the least exponent p it takes, the constraint
-of its hard support and whether its law is log-concave.  Spec checks, scales,
-family tokens ('name' or 'name(p)') and the loader read the row and name no
-family.  A new family is one draw function and one row, appended: a row's
-position is the family's tag in saved files.
+of its hard support, whether its law is log-concave and the closed-form
+truncation tail E(<X, x>^2 - B^2) 1{|<X, x>| >= B} of a unit direction x, where
+one is known.  Spec checks, scales, tails, family tokens ('name' or 'name(p)')
+and the loader read the row and name no family.  A new family is one draw
+function and one row, appended: a row's position is the family's tag in saved
+files.
 
 Isotropy normalizations are exact:
 
@@ -36,7 +38,8 @@ bit-identical to the same columns of the full draw, and every draw is
 ``column_blocks``'s run of such ranges.  The words of a run of streams come
 word-major (see rng): already that n-row block.
 
-``scipy.special`` loads on first use, inside the l_p scale and draw (see rng).
+``scipy.special`` loads on first use, inside the l_p scale and draw and the
+gaussian and ball tails (see rng).
 """
 
 from __future__ import annotations
@@ -49,11 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import U64_MAX, ContractError, ResourceError, require_int
+from .errors import U64_MAX, AnalyticUnavailableError, ContractError, ResourceError, require_int
 
 __all__ = [
     "FAMILIES",
-    "LOG_CONCAVE_FAMILIES",
     "EnsembleSpec",
     "SampleMatrix",
     "isotropic_scale",
@@ -103,6 +105,15 @@ class EnsembleSpec:
     @property
     def log_concave(self) -> bool:
         return _FAMILY_TABLE[self.family].log_concave
+
+    def tail_excess(self, x: np.ndarray, B: float) -> float:
+        """E(<X, x>^2 - B^2) 1{|<X, x>| >= B} for a unit x and finite B, in closed form."""
+        tail = _FAMILY_TABLE[self.family].tail
+        if tail is None:
+            raise AnalyticUnavailableError(
+                f"no closed-form 1-D marginal for family {self.family!r}; use expectation='fresh_sample'"
+            )
+        return tail(B, self.n, x)
 
 
 @dataclass(frozen=True)
@@ -182,7 +193,7 @@ def _columns_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     g = rng.normal_from_words(words[:n])
     norms = np.linalg.norm(g, axis=0)
     # Place the direction g/|g| at radius r * U^{1/n}.
-    limit = isotropic_scale(spec.family, n)
+    limit = _FAMILY_TABLE[spec.family].scale(n, None)
     u = rng.uniform_open(words[n])
     radius = limit * u ** (1.0 / n)
     out = g * (radius / norms)
@@ -197,7 +208,7 @@ def _columns_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
 def _columns_exponential(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     words = rng.raw_words(spec.seed, cols, tag, spec.n)
     out = rng.laplace_from_words(words)
-    out *= isotropic_scale(spec.family, spec.n)
+    out *= _FAMILY_TABLE[spec.family].scale(spec.n, None)
     return out
 
 
@@ -210,7 +221,7 @@ def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     from scipy.special import gammaincinv
 
     n, p = spec.n, spec.p
-    factor = isotropic_scale(spec.family, n, p)
+    factor = _FAMILY_TABLE[spec.family].scale(n, p)
     if math.isinf(p):
         words = rng.raw_words(spec.seed, cols, tag, n)
         return factor * rng.uniform_sym(words)
@@ -229,32 +240,68 @@ def _columns_lp_ball(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     return factor * signs * mag / denom
 
 
+def _tail_gaussian(B: float, n: int, x: np.ndarray) -> float:
+    """2[B phi(B) + (1 - B^2) Phi(-B)] for every unit x; Phi(-B) keeps the
+    digits that 1 - Phi(B) cancels at large B."""
+    from scipy.special import ndtr
+
+    phi = math.exp(-0.5 * B * B) / math.sqrt(2.0 * math.pi)
+    return 2.0 * (B * phi + (1.0 - B * B) * float(ndtr(-B)))
+
+
+def _tail_ball(B: float, n: int, x: np.ndarray) -> float:
+    """For every unit x (rotation invariance) Y^2/(n+2), Y = <X, x>, is
+    Beta(1/2, (n+1)/2), and E Y^2 1{Y^2 >= B^2} is the Beta(3/2, (n+1)/2)
+    tail at the same point, so both terms are regularized incomplete beta
+    tails at b = min(B^2/(n+2), 1)."""
+    from scipy.special import betaincc
+
+    b = min(B * B / (n + 2.0), 1.0)
+    a = (n + 1) / 2.0
+    return float(betaincc(1.5, a, b) - B * B * betaincc(0.5, a, b))
+
+
+def _tail_exponential(B: float, n: int, x: np.ndarray) -> float:
+    """exp(-lambda B) 2 (1 + lambda B) / lambda^2 at the rate lambda = sqrt 2
+    of one coordinate; the law of <X, x> is closed-form only along the axes."""
+    i = int(np.argmax(np.abs(x)))
+    if not (abs(abs(float(x[i])) - 1.0) <= 1e-12 and float(np.linalg.norm(np.delete(x, i))) <= 1e-12):
+        raise AnalyticUnavailableError(
+            "exponential_product has closed-form projections only along "
+            "coordinate directions; use expectation='fresh_sample'"
+        )
+    lam = math.sqrt(2.0)
+    return math.exp(-lam * B) * 2.0 * (1.0 + lam * B) / (lam * lam)
+
+
 @dataclass(frozen=True)
 class _Row:
-    """One family's facts (see the module docstring); None marks a fact the family lacks."""
+    """One family's draw, scale, least exponent, support, log-concavity and
+    truncation tail (see the module docstring); None marks a fact it lacks."""
 
     draw: Callable[[EnsembleSpec, range, int], np.ndarray]  # (spec, cols, tag) -> columns cols
     scale: Callable[[int, float | None], float]  # (n, p) -> the exact isotropic scale
     p_min: float | None  # the least exponent p; None when the family takes none
     support: Callable[[np.ndarray, float | None], float] | None  # (x / scale, p) -> a value <= 1 on the support
     log_concave: bool
+    tail: Callable[[float, int, np.ndarray], float] | None  # (B, n, x) -> the truncation tail; None: no closed form
 
 
 #: One row per family, in the order of its binary-format tag: append new families last.
 _FAMILY_TABLE = {
-    "gaussian": _Row(_columns_gaussian, lambda n, p: 1.0, None, None, True),
-    "euclidean_ball": _Row(_columns_ball, lambda n, p: math.sqrt(n + 2.0), None, lambda x, p: _lp_norm(x, 2), True),
-    "exponential_product": _Row(_columns_exponential, lambda n, p: 2.0**-0.5, None, None, True),
-    "lp_ball": _Row(_columns_lp_ball, _lp_scale, 1.0, _lp_norm, True),
+    "gaussian": _Row(_columns_gaussian, lambda n, p: 1.0, None, None, True, _tail_gaussian),
+    "euclidean_ball": _Row(
+        _columns_ball, lambda n, p: math.sqrt(n + 2.0), None, lambda x, p: _lp_norm(x, 2), True, _tail_ball
+    ),
+    "exponential_product": _Row(_columns_exponential, lambda n, p: 2.0**-0.5, None, None, True, _tail_exponential),
+    "lp_ball": _Row(_columns_lp_ball, _lp_scale, 1.0, _lp_norm, True, None),
     # 1 + the largest distance of an |x_i| from 1: exactly 1 on {-1, 1}^n.
     "rademacher_control": _Row(
-        _columns_rademacher, lambda n, p: 1.0, None, lambda x, p: 1.0 + float(np.abs(np.abs(x) - 1.0).max()), False
+        _columns_rademacher, lambda n, p: 1.0, None, lambda x, p: 1.0 + float(abs(np.abs(x) - 1.0).max()), False, None
     ),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
-
-LOG_CONCAVE_FAMILIES = frozenset(name for name, row in _FAMILY_TABLE.items() if row.log_concave)
 
 
 def _columns(spec: EnsembleSpec, cols: range, tag: int = rng.TAG_COLUMNS) -> np.ndarray:
@@ -351,13 +398,13 @@ def load_matrix(path) -> SampleMatrix:
     if not np.isfinite(payload).all():
         raise ContractError(f"{path}: payload contains non-finite values")
     entries = np.ascontiguousarray(payload.reshape(N, n).T)
-    p = None if _FAMILY_TABLE[family].p_min is None and param == 0.0 else param
+    row = _FAMILY_TABLE[family]
+    p = None if row.p_min is None and param == 0.0 else param
     try:
         spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from exc
-    support = _FAMILY_TABLE[family].support
-    worst = 0.0 if support is None else support(entries / isotropic_scale(family, n, p), p)
+    worst = 0.0 if row.support is None else row.support(entries / row.scale(n, p), p)
     if worst > 1.0 + 1e-12:
         raise ContractError(f"{path}: {family} support violated: constraint value {worst} > 1")
     return SampleMatrix(entries=entries, spec=spec)

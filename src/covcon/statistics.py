@@ -458,70 +458,14 @@ def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProf
 # --- truncation decomposition ------------------------------------------------
 
 
-def _phi(t: float) -> float:
-    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-
-
-def _gaussian_tail_excess(B: float) -> float:
-    """E (g^2 - B^2) 1{|g| >= B} for standard normal g, in closed form:
-    2[B phi(B) + (1 - B^2) (1 - Phi(B))]."""
-    from scipy.special import ndtr
-
-    upper = 1.0 - float(ndtr(B))
-    return 2.0 * (B * _phi(B) + (1.0 - B * B) * upper)
-
-
-def _ball_tail_excess(B: float, n: int) -> float:
-    """E (Y^2 - B^2) 1{|Y| >= B} for Y = <X, x>, X uniform on the radius
-    sqrt(n+2) ball.  For every unit x (rotation invariance) Y^2/(n+2) is
-    Beta(1/2, (n+1)/2), and E Y^2 1{Y^2 >= B^2} is the Beta(3/2, (n+1)/2)
-    tail at the same point, so both terms are regularized incomplete beta
-    tails at b = min(B^2/(n+2), 1)."""
-    from scipy.special import betaincc
-
-    b = min(B * B / (n + 2.0), 1.0)
-    a = (n + 1) / 2.0
-    return float(betaincc(1.5, a, b) - B * B * betaincc(0.5, a, b))
-
-
-_LAPLACE_RATE = math.sqrt(2.0)
-
-
-def _exponential_tail_excess(B: float) -> float:
-    """E (Y^2 - B^2) 1{|Y| >= B} for the variance-1 symmetric exponential
-    (rate lambda = sqrt 2): exp(-lambda B) * 2 (1 + lambda B) / lambda^2."""
-    lam = _LAPLACE_RATE
-    return math.exp(-lam * B) * 2.0 * (1.0 + lam * B) / (lam * lam)
-
-
-def _is_basis_direction(x: np.ndarray) -> bool:
-    i = int(np.argmax(np.abs(x)))
-    rest = np.delete(x, i)
-    return abs(abs(float(x[i])) - 1.0) <= 1e-12 and float(np.linalg.norm(rest)) <= 1e-12
-
-
 def _analytic_excess(A: SampleMatrix, x: np.ndarray, B: float) -> float:
-    spec = A.spec
-    if spec is None:
+    if A.spec is None:
         raise AnalyticUnavailableError(
             "analytic expectations need the generating spec; use expectation='fresh_sample'"
         )
     if math.isinf(B):
         return 0.0
-    if spec.family == "gaussian":
-        return _gaussian_tail_excess(B)
-    if spec.family == "euclidean_ball":
-        return _ball_tail_excess(B, spec.n)
-    if spec.family == "exponential_product":
-        if not _is_basis_direction(x):
-            raise AnalyticUnavailableError(
-                "exponential_product has closed-form projections only along "
-                "coordinate directions; use expectation='fresh_sample'"
-            )
-        return _exponential_tail_excess(B)
-    raise AnalyticUnavailableError(
-        f"no closed-form 1-D marginal for family {spec.family!r}; use expectation='fresh_sample'"
-    )
+    return A.spec.tail_excess(x, B)
 
 
 def _truncated_moments(proj: np.ndarray, B: float) -> tuple[np.ndarray, float, float]:
@@ -550,9 +494,10 @@ def truncation_split(
 ) -> TruncationSplit:
     """Split the one-direction deviation at truncation level B.
 
-    The expectation terms come either from closed-form 1-D integrals
-    (`analytic_isotropic`; available for gaussian and euclidean_ball at any
-    direction, exponential_product along coordinate directions) or from only
+    The expectation terms come either from the closed-form tail of the
+    family's row in `sampler._FAMILY_TABLE` (`analytic_isotropic`, through
+    `EnsembleSpec.tail_excess`; AnalyticUnavailableError where the row has
+    none or it does not cover x) or from only
     the `fresh_T` projections of a fresh sample drawn from the matrix seed in
     a separate counter namespace, projected block by block as
     `sampler.column_blocks` yields it, so at any n and in bounded memory.  They

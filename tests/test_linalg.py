@@ -19,6 +19,7 @@ from covcon.linalg import (
     sym_eigen,
 )
 from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble, save_matrix
+from covcon.statistics import build_net, net_sup_deviation
 
 
 def _spectrum_of(full):
@@ -206,14 +207,20 @@ def test_lapack_extremes_match_jacobi_oracle(family):
         assert abs(rep.lambda_max / N - hi) <= 1e-12 * norm, (n, N)
 
 
-def test_deviation_rejects_overflowing_gram():
-    A = SampleMatrix(entries=np.full((2, 3), 1e200), spec=None)
+def test_deviation_rejects_overflowing_gram(tmp_path, capsys):
+    # The entries are finite but their Gram matrix is not: every Gram path
+    # refuses it with one message, without a warning.
+    A = SampleMatrix(entries=np.full((2, 3), 1e200), spec=EnsembleSpec("gaussian", 2, 3, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ContractError, match="non-finite"):
-            operator_deviation(A)
-        with pytest.raises(ContractError, match="non-finite"):
-            matrix_norm(A)
+        net = build_net(2, 0.5)
+        for measure in (operator_deviation, matrix_norm, gram_covariance, lambda A: net_sup_deviation(A, net)):
+            with pytest.raises(ContractError, match="^the Gram matrix overflows"):
+                measure(A)
+    path = tmp_path / "big.bin"
+    save_matrix(A, path)
+    assert cli.main(["deviation", "--matrix", str(path)]) == 2
+    assert "Gram matrix overflows" in capsys.readouterr().err
 
 
 def test_lapack_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):

@@ -486,33 +486,36 @@ def test_greedy_profile_draws_its_starts_once(monkeypatch):
 
 
 def _gaussian_excess_oracle(B):
-    # E (g^2 - B^2) 1{|g| >= B} by direct quadrature against the normal pdf.
+    # E (g^2 - B^2) 1{|g| >= B} by direct quadrature against the normal pdf;
+    # with no absolute tolerance, so a tiny tail is resolved too.
     pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    val, _ = quad(lambda t: (t * t - B * B) * pdf(t), B, np.inf)
+    val, _ = quad(lambda t: (t * t - B * B) * pdf(t), B, np.inf, epsabs=0.0, epsrel=1e-12)
     return 2.0 * val
 
 
 def test_gaussian_s3_matches_quadrature():
+    # Up to B = 20 (s3 about 1e-88): an upper tail taken as 1 - Phi(B) cancels.
     A = sample_ensemble(EnsembleSpec("gaussian", 2, 100, 31))
     x = np.array([1.0, 0.0])
-    for B in (0.25, 1.0, 2.5):
+    for B in (0.25, 1.0, 2.5, 6.0, 8.0, 10.0, 20.0):
         split = truncation_split(A, x, B)
-        assert math.isclose(split.s3, _gaussian_excess_oracle(B), rel_tol=1e-9)
+        assert math.isclose(split.s3, _gaussian_excess_oracle(B), rel_tol=1e-9), B
 
 
 def test_ball_tail_excess_matches_quadrature():
     # The closed form against the ratio of two quadratures of the marginal
     # density (1 - (t/r)^2)^{(n-1)/2} on [-r, r], r = sqrt(n+2).
     for n in (1, 2, 3, 5, 8, 16, 32, 64, 128):
+        tail = lambda B: EnsembleSpec("euclidean_ball", n, 1, 0).tail_excess(np.eye(n)[0], B)
         r = math.sqrt(n + 2.0)
         density = lambda t: max(1.0 - (t / r) ** 2, 0.0) ** ((n - 1) / 2.0)
         den, _ = quad(density, 0.0, r, limit=200)
         for B in np.linspace(0.0, r, 13)[1:-1]:
             num, _ = quad(lambda t: (t * t - B * B) * density(t), B, r, limit=200)
-            assert math.isclose(statistics._ball_tail_excess(B, n), num / den, rel_tol=1e-10)
-        assert statistics._ball_tail_excess(0.0, n) == 1.0
+            assert math.isclose(tail(B), num / den, rel_tol=1e-10)
+        assert tail(0.0) == 1.0
         for B in (math.nextafter(r, math.inf), r + 0.5, 3.0 * r):
-            assert statistics._ball_tail_excess(B, n) == 0.0
+            assert tail(B) == 0.0
 
 
 def test_split_terms_recompute():
@@ -552,6 +555,28 @@ def test_fresh_sample_matches_analytic():
     # The fresh route must also respect recombination exactly.
     dev = direction_deviation(A, x)
     assert dev <= fresh.s1 + fresh.s2 + fresh.s3 + 1e-12
+
+
+@pytest.mark.parametrize("family", sampler.FAMILIES)
+def test_tail_follows_the_family_row(family):
+    # A row's closed-form tail is the analytic s3, which a 100,000-column
+    # fresh sample must reproduce within the band above; a row with no tail,
+    # like exponential_product off the axes, has no analytic s3.
+    p = 3.0 if family == "lp_ball" else None
+    has_tail = sampler._FAMILY_TABLE[family].tail is not None
+    for n in (3, 16):
+        A = sample_ensemble(EnsembleSpec(family, n, 200, 41, p))
+        diagonal = np.full(n, n**-0.5)
+        for x in (np.eye(n)[0], diagonal):
+            off_axis = x is diagonal and family == "exponential_product"
+            if not has_tail or off_axis:
+                with pytest.raises(AnalyticUnavailableError):
+                    truncation_split(A, x, 1.0, psi=1.5)
+                continue
+            for B in (0.5, 1.0, 2.0):
+                analytic = truncation_split(A, x, B, psi=1.5)
+                fresh = truncation_split(A, x, B, expectation="fresh_sample", fresh_T=100_000, psi=1.5)
+                assert math.isclose(fresh.s3, analytic.s3, rel_tol=0.05), (n, B, x)
 
 
 def test_split_limits():
