@@ -68,6 +68,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism != "auto":
             require_int("parallelism", self.parallelism)
+        if not self.output_dir.strip():
+            raise ConfigError(f"output_dir must name a directory, got {self.output_dir!r}")
         # Refuse a grid the scaling fit would reject before any trial runs.
         trials, ratios = self.grid.trials_per_cell, sorted({n / N for _, n, N in self.grid.cells})
         if trials < experiments.FIT_MIN_TRIALS or len(ratios) < experiments.FIT_MIN_RATIOS:
@@ -484,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.set_defaults(handler=cmd_deviation)
 
-    p = sub.add_parser("psi1", help="empirical psi_1 constant over basis plus probe directions")
+    budget = f"the first {statistics.PSI_SAMPLE_COLUMNS:,} columns at most"
+    p = sub.add_parser("psi1", help=f"empirical psi_1 constant over basis plus probe directions, on {budget}")
     p.add_argument("--matrix", required=True)
     p.add_argument("--directions", type=int, default=experiments.PSI_PROBE_DIRECTIONS)
     p.set_defaults(handler=cmd_psi1)

@@ -30,7 +30,7 @@ from .bounds import BoundConfig
 from .errors import U64_MAX, ContractError, NumericalError, require_int
 from .linalg import DeviationReport, operator_deviation
 from .records import Record
-from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
+from .sampler import EnsembleSpec, parse_family_token, sample_ensemble
 
 __all__ = [
     "CALIBRATION_MASTER_SEED",
@@ -62,9 +62,6 @@ VERIFICATION_MASTER_SEED = 0x7E57
 #: Number of pseudo-random probe directions pooled with the coordinate basis
 #: when measuring the empirical psi_1 constant of a cell.
 PSI_PROBE_DIRECTIONS = 16
-#: Leading columns of a cell's trial-0 matrix that psi_1 is measured on: psi is
-#: a property of the law, so every cell gets the same sample size and bias.
-PSI_SAMPLE_COLUMNS = 1 << 16
 #: Least trials per cell and distinct n/N ratios that scaling_fit accepts.
 FIT_MIN_TRIALS = 10
 FIT_MIN_RATIOS = 3
@@ -189,19 +186,16 @@ class Remark2Check(Record):
 
 def _trial_report(ci: int, ti: int, spec: EnsembleSpec) -> tuple[DeviationReport, float | None]:
     """One full trial: sample the ensemble and measure its spectral deviation.
-    Trial 0 of each cell also measures the cell's empirical psi_1 constant on
-    the first min(N, PSI_SAMPLE_COLUMNS) columns of the same matrix, probed
-    along directions seeded by the trial's seed; other trials return None.
+    Trial 0 of each cell also measures the cell's empirical psi_1 constant,
+    `statistics.psi1_ensemble` of the same matrix with probes seeded by the
+    trial's seed (it reads its own column budget); other trials return None.
 
     A failure is re-raised as its nearest base error class, naming the cell
     and trial: a subclass may take other constructor arguments, and a pool
     worker's exception is rebuilt in the parent from its message alone."""
     try:
         A = sample_ensemble(spec)
-        psi_hat = None
-        if ti == 0:
-            head = replace(spec, N=min(spec.N, PSI_SAMPLE_COLUMNS))
-            psi_hat = statistics.psi1_ensemble(SampleMatrix(A.entries[:, : head.N], head), PSI_PROBE_DIRECTIONS)
+        psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS) if ti == 0 else None
         return operator_deviation(A), psi_hat
     except (ContractError, RuntimeError) as exc:
         base = next(cls for cls in (ContractError, NumericalError, RuntimeError) if isinstance(exc, cls))

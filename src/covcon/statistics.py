@@ -67,6 +67,10 @@ __all__ = [
     "net_covering_radius_probe",
 ]
 
+#: Leading columns of a matrix that psi1_ensemble reads: psi is a property of
+#: the law, so every cell gets the same sample size and bias.
+PSI_SAMPLE_COLUMNS = 1 << 16
+
 #: Subset budget for exact sparse-norm enumeration.
 EXACT_ENUMERATION_BUDGET = 1_000_000
 
@@ -257,14 +261,14 @@ def probe_directions(n: int, count: int, seed: int) -> np.ndarray:
 def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     """Max empirical psi_1 of <X_i, y> over basis + random probe directions.
 
-    Projections are pooled across all columns of A (the columns are i.i.d.),
-    and the probe set is the n coordinate directions plus `directions`
-    pseudo-random unit vectors derived from the matrix seed.  A probed sup is
-    a lower bound on the true uniform psi_1 constant.
+    Projections are pooled across the first min(N, PSI_SAMPLE_COLUMNS) columns
+    of A (i.i.d.; a view, not a copy), and the probe set is the n coordinate
+    directions plus `directions` pseudo-random unit vectors derived from the
+    matrix seed.  A probed sup is a lower bound on the uniform psi_1 constant.
     """
     require_int("directions", directions, 0)
     probes = np.vstack([np.eye(A.n), probe_directions(A.n, directions, A.seed)])
-    proj = probes @ A.entries
+    proj = probes @ A.entries[:, :PSI_SAMPLE_COLUMNS]
     values, _, _ = _psi1_rows(proj)
     return float(values.max())
 
@@ -458,16 +462,6 @@ def sparse_norm_profile(A: SampleMatrix, mode: str = "greedy") -> SparseNormProf
 # --- truncation decomposition ------------------------------------------------
 
 
-def _analytic_excess(A: SampleMatrix, x: np.ndarray, B: float) -> float:
-    if A.spec is None:
-        raise AnalyticUnavailableError(
-            "analytic expectations need the generating spec; use expectation='fresh_sample'"
-        )
-    if math.isinf(B):
-        return 0.0
-    return A.spec.tail_excess(x, B)
-
-
 def _truncated_moments(proj: np.ndarray, B: float) -> tuple[np.ndarray, float, float]:
     """E_B = {i : |p_i| >= B}, the mean of min(|p|, B)^2, and
     sum over E_B of (p_i^2 - B^2) / len(p); at B = inf, E_B is empty."""
@@ -478,9 +472,19 @@ def _truncated_moments(proj: np.ndarray, B: float) -> tuple[np.ndarray, float, f
     return e_b, trunc_sq, excess
 
 
+def _unit_direction(A: SampleMatrix, x: np.ndarray) -> np.ndarray:
+    """x as a flat float64 vector, refused unless it is a unit vector in R^n."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size != A.n:
+        raise ContractError(f"direction has dimension {x.size}, matrix has n={A.n}")
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-12:
+        raise ContractError(f"direction must be a unit vector (|x| = {np.linalg.norm(x)!r})")
+    return x
+
+
 def direction_deviation(A: SampleMatrix, x: np.ndarray) -> float:
-    """S(x) = |(1/N) sum <X_i, x>^2 - 1|, the deviation along one direction."""
-    proj = np.asarray(x, dtype=np.float64) @ A.entries
+    """S(x) = |(1/N) sum <X_i, x>^2 - 1|, the deviation along a unit direction."""
+    proj = _unit_direction(A, x) @ A.entries
     return abs(float(np.mean(proj**2)) - 1.0)
 
 
@@ -497,23 +501,19 @@ def truncation_split(
     The expectation terms come either from the closed-form tail of the
     family's row in `sampler._FAMILY_TABLE` (`analytic_isotropic`, through
     `EnsembleSpec.tail_excess`; AnalyticUnavailableError where the row has
-    none or it does not cover x) or from only
-    the `fresh_T` projections of a fresh sample drawn from the matrix seed in
-    a separate counter namespace, projected block by block as
-    `sampler.column_blocks` yields it, so at any n and in bounded memory.  They
-    obey the truncated-moment rule of the sample's terms, divided by their
-    second moment, so the truncated and excess parts sum to 1 (the isotropic
-    value) up to rounding and the recombination inequality
-    S(x) <= s1 + s2 + s3 holds to rounding.
+    none or it does not cover x; a B whose square overflows has an empty
+    tail, s3 = 0) or from only the `fresh_T` projections of a fresh sample
+    drawn from the matrix seed in a separate counter namespace, projected
+    block by block as `sampler.column_blocks` yields it, so at any n and in
+    bounded memory.  They obey the truncated-moment rule of the sample's
+    terms, divided by their second moment, so the truncated and excess parts
+    sum to 1 (the isotropic value) up to rounding and the recombination
+    inequality S(x) <= s1 + s2 + s3 holds to rounding.
 
     `psi` enters only the big_m field (M = max{psi^2 n, max|X_i|^2}); when
-    omitted it is estimated from the matrix along basis directions.
+    omitted it is `psi1_ensemble` of the matrix along basis directions.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != A.n:
-        raise ContractError(f"direction has dimension {x.size}, matrix has n={A.n}")
-    if not abs(np.linalg.norm(x) - 1.0) <= 1e-12:
-        raise ContractError(f"direction must be a unit vector (|x| = {np.linalg.norm(x)!r})")
+    x = _unit_direction(A, x)
     if not (B >= 0.0):
         raise ContractError(f"truncation level B must be >= 0, got {B!r}")
     if expectation not in ("analytic_isotropic", "fresh_sample"):
@@ -521,7 +521,9 @@ def truncation_split(
 
     e_b, trunc_sq, s2 = _truncated_moments(x @ A.entries, B)
     if expectation == "analytic_isotropic":
-        s3 = float(_analytic_excess(A, x, B))
+        if A.spec is None:
+            raise AnalyticUnavailableError("analytic expectations need the generating spec; use expectation='fresh_sample'")
+        s3 = float(A.spec.tail_excess(x, B)) if math.isfinite(B * B) else 0.0
         expected_trunc_sq = 1.0 - s3
     else:
         if A.spec is None:

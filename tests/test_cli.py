@@ -110,6 +110,21 @@ def test_config_strictness(tmp_path):
         parse_config(base.replace("gaussian:4:16", "gaussian-4-16"))
     with pytest.raises(ConfigError, match="line"):
         parse_config("[grid\ncells = gaussian:2:4\n")
+    for blank in ("", "  "):
+        with pytest.raises(ConfigError, match="output_dir"):
+            parse_config(base.replace(f"output_dir = {tmp_path}", f"output_dir = {blank}"))
+        with pytest.raises(ConfigError, match="output_dir"):
+            small_config(blank)
+
+
+def test_empty_output_dir_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(small_config(tmp_path).to_text().replace(f"output_dir = {tmp_path}", "output_dir = "))
+    ran = []
+    monkeypatch.setattr(experiments, "run_grid", lambda *args, **kwargs: ran.append(args))
+    assert cli.main(["experiment", "--config", str(path)]) == 2
+    assert ran == []
+    assert "output_dir" in capsys.readouterr().err
 
 
 def test_resolve_workers(monkeypatch, tmp_path):
@@ -200,6 +215,21 @@ def test_psi1_command_schema(tmp_path):
     _validate(doc, "psi1.json")
     assert doc["directions"] == 8 and doc["n"] == 4 and doc["N"] == 200 and doc["seed"] == 3
     assert doc["psi1"] > 0.0
+
+
+def test_psi1_command_matches_the_bundle_past_the_column_budget(tmp_path):
+    # A cell wider than statistics.PSI_SAMPLE_COLUMNS: the command on its
+    # trial-0 matrix prints the psi_hat of run_grid, and N stays the file's.
+    grid = ExperimentGrid((("gaussian", 2, 70_000),), 1, experiments.VERIFICATION_MASTER_SEED, DEFAULT_CONFIG)
+    (result,) = experiments.run_grid(grid)
+    seed = experiments.derive_seed(grid.master_seed, 0, 0)
+    path = tmp_path / "wide.bin"
+    run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "70000", "--seed", str(seed), "--out", str(path)])
+    proc = run_cli(["psi1", "--matrix", str(path), "--directions", "16"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["psi1"] == result.summary.psi_hat
+    assert doc["N"] == 70_000
 
 
 def test_psi1_command_overflow_exits_4(tmp_path):

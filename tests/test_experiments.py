@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from covcon import bounds, experiments, rng
+from covcon import bounds, experiments, rng, statistics
 from covcon.bounds import DEFAULT_CONFIG, BoundConfig, main_probability_budget, theorem1_rhs
 from covcon.errors import ContractError, NumericalError, RegimeError, ResourceError
 from covcon.experiments import (
@@ -177,11 +177,15 @@ def test_psi_hat_reads_a_fixed_column_budget():
     # PSI_SAMPLE_COLUMNS columns, with the probes of the trial's own seed.
     grid = _grid([("gaussian", 2, 70_000), ("gaussian", 2, 300)], trials=1)
     wide, narrow = run_grid(grid)
-    k = experiments.PSI_SAMPLE_COLUMNS
+    k = statistics.PSI_SAMPLE_COLUMNS
     assert k == 65_536
     for ci, (result, N) in enumerate(((wide, k), (narrow, 300))):
         A = sample_ensemble(EnsembleSpec("gaussian", 2, N, derive_seed(grid.master_seed, ci, 0)))
         assert result.summary.psi_hat == psi1_ensemble(A, experiments.PSI_PROBE_DIRECTIONS)
+    # psi1_ensemble applies the budget itself, so the whole trial-0 matrix
+    # gives the bundle's value too.
+    full = sample_ensemble(grid.spec(0, derive_seed(grid.master_seed, 0, 0)))
+    assert wide.summary.psi_hat == psi1_ensemble(full, experiments.PSI_PROBE_DIRECTIONS)
 
 
 def test_worker_count_does_not_change_results():

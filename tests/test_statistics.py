@@ -580,26 +580,34 @@ def test_tail_follows_the_family_row(family):
 
 
 def test_split_limits():
-    A = sample_ensemble(EnsembleSpec("gaussian", 2, 50, 35))
-    x = np.array([1.0, 0.0])
-    at_zero = truncation_split(A, x, 0.0)
-    # B = 0 puts every draw in the excess set and s3 = E g^2 = 1.
-    assert at_zero.m_observed == 50
-    assert math.isclose(at_zero.s3, 1.0, rel_tol=1e-12)
-    assert at_zero.s1 <= 1e-12
-    at_inf = truncation_split(A, x, math.inf)
-    assert at_inf.m_observed == 0
-    assert at_inf.s2 == 0.0 and at_inf.s3 == 0.0
-    assert math.isclose(at_inf.s1, direction_deviation(A, x), rel_tol=1e-12)
-    # The fresh expectation applies the sample's own truncated-moment rule,
-    # so both limits come out exactly.
-    fresh_inf = truncation_split(A, x, math.inf, expectation="fresh_sample", fresh_T=4096)
-    assert fresh_inf.m_observed == 0
-    assert fresh_inf.s2 == 0.0 and fresh_inf.s3 == 0.0
-    assert fresh_inf.s1 == direction_deviation(A, x)
-    fresh_zero = truncation_split(A, x, 0.0, expectation="fresh_sample", fresh_T=4096)
-    assert fresh_zero.m_observed == 50
-    assert fresh_zero.s3 == 1.0 and fresh_zero.s1 == 0.0
+    for family in ("gaussian", "euclidean_ball", "exponential_product"):
+        A = sample_ensemble(EnsembleSpec(family, 2, 50, 35))
+        x = np.array([1.0, 0.0])
+        at_zero = truncation_split(A, x, 0.0)
+        # B = 0 puts every draw in the excess set and s3 = E g^2 = 1.
+        assert at_zero.m_observed == 50
+        assert math.isclose(at_zero.s3, 1.0, rel_tol=1e-12)
+        assert at_zero.s1 <= 1e-12
+        at_inf = truncation_split(A, x, math.inf)
+        assert at_inf.m_observed == 0
+        assert at_inf.s2 == 0.0 and at_inf.s3 == 0.0
+        assert math.isclose(at_inf.s1, direction_deviation(A, x), rel_tol=1e-12)
+        # A level whose square is near or past the float64 range has an empty
+        # tail too (RuntimeWarnings are errors under pytest).
+        for B in (1e154, 1e160, 1e200):
+            huge = truncation_split(A, x, B)
+            assert huge.m_observed == 0, (family, B)
+            assert huge.s2 == 0.0 and huge.s3 == 0.0, (family, B)
+            assert huge.s1 == at_inf.s1, (family, B)
+        # The fresh expectation applies the sample's own truncated-moment rule,
+        # so both limits come out exactly.
+        fresh_inf = truncation_split(A, x, math.inf, expectation="fresh_sample", fresh_T=4096)
+        assert fresh_inf.m_observed == 0
+        assert fresh_inf.s2 == 0.0 and fresh_inf.s3 == 0.0
+        assert fresh_inf.s1 == direction_deviation(A, x)
+        fresh_zero = truncation_split(A, x, 0.0, expectation="fresh_sample", fresh_T=4096)
+        assert fresh_zero.m_observed == 50
+        assert fresh_zero.s3 == 1.0 and fresh_zero.s1 == 0.0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "euclidean_ball", "exponential_product"])
@@ -695,6 +703,11 @@ def test_split_validation():
 def test_direction_deviation_hand_value():
     A = SampleMatrix(entries=np.array([[2.0, 0.0]]), spec=None)
     assert direction_deviation(A, np.array([1.0])) == 1.0
+    # The direction rule of truncation_split: unit norm, the matrix's n.
+    B = sample_ensemble(EnsembleSpec("gaussian", 3, 10, 38))
+    for bad, match in (([5.0, 0.0, 0.0], "unit vector"), ([np.nan, 0.0, 0.0], "unit vector"), ([1.0, 0.0], "dimension")):
+        with pytest.raises(ContractError, match=match):
+            direction_deviation(B, np.array(bad))
 
 
 # --- sphere nets -------------------------------------------------------------
