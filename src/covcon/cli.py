@@ -21,12 +21,14 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
 from .errors import U64_MAX, ConfigError, ContractError, NumericalError, require_int
 from .experiments import CellResult, ExperimentGrid, ScalingFit
 from .linalg import DeviationReport, operator_deviation
-from .sampler import EnsembleSpec, load_matrix, parse_family_token, sample_ensemble, save_matrix
+from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
 
 __all__ = [
     "RunConfig",
@@ -394,33 +396,33 @@ def _load_bound_config(args) -> BoundConfig:
     return cfg.with_hypothesis(psi, K)
 
 
-def cmd_sample(args) -> int:
+def _sample(args) -> SampleMatrix:
+    """The matrix of the command's spec flags."""
     family, p = parse_family_token(args.family)
-    spec = EnsembleSpec(family=family, n=args.n, N=args.N, seed=args.seed, p=p)
-    save_matrix(sample_ensemble(spec), args.out)
+    return sample_ensemble(EnsembleSpec(family=family, n=args.n, N=args.N, seed=args.seed, p=p))
+
+
+def cmd_sample(args) -> int:
+    A = _sample(args)  # before the open, so a refused spec leaves no file
+    with open(args.out, "wb") as fh:
+        np.save(fh, A.entries)
     return 0
 
 
 def cmd_deviation(args) -> int:
-    report = operator_deviation(load_matrix(args.matrix))
-    sys.stdout.write(_dump_json(report.to_json_dict()))
+    sys.stdout.write(_dump_json(operator_deviation(_sample(args)).to_json_dict()))
     return 0
 
 
 def cmd_psi1(args) -> int:
-    A = load_matrix(args.matrix)
-    value = statistics.psi1_ensemble(A, args.directions)
-    sys.stdout.write(
-        _dump_json(
-            {"psi1": value, "directions": args.directions, "n": A.n, "N": A.N, "seed": A.seed}
-        )
-    )
+    value = statistics.psi1_ensemble(_sample(args), args.directions)
+    doc = {"psi1": value, "directions": args.directions, "n": args.n, "N": args.N, "seed": args.seed}
+    sys.stdout.write(_dump_json(doc))
     return 0
 
 
 def cmd_amnorm(args) -> int:
-    A = load_matrix(args.matrix)
-    profile = statistics.sparse_norm_profile(A, mode=args.mode)
+    profile = statistics.sparse_norm_profile(_sample(args), mode=args.mode)
     sys.stdout.write(_dump_json(profile.to_json_dict()))
     return 0
 
@@ -474,35 +476,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw an ensemble and write the binary matrix file")
-    p.add_argument("--family", required=True, help="family token, e.g. gaussian or lp_ball(1.5)")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--N", required=True, type=int)
-    p.add_argument("--seed", required=True, type=_u64)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_sample)
+    def command(name, handler, text, spec=False):
+        """A subcommand whose -h repeats its one-line `text`; `spec` adds the
+        four flags that name the matrix it draws."""
+        p = sub.add_parser(name, help=text, description=text)
+        p.set_defaults(handler=handler)
+        if spec:
+            p.add_argument("--family", required=True, help="family token, e.g. gaussian or lp_ball(1.5)")
+            p.add_argument("--n", required=True, type=int)
+            p.add_argument("--N", required=True, type=int)
+            p.add_argument("--seed", required=True, type=_u64)
+        return p
 
-    p = sub.add_parser("deviation", help="spectral deviation report of a matrix file")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=cmd_deviation)
+    p = command("sample", cmd_sample, "draw an ensemble and write its entries as a .npy file", spec=True)
+    p.add_argument("--out", required=True)
+
+    command("deviation", cmd_deviation, "spectral deviation report of an ensemble", spec=True)
 
     budget = f"the first {statistics.PSI_SAMPLE_COLUMNS:,} columns at most"
-    p = sub.add_parser("psi1", help=f"empirical psi_1 constant over basis plus probe directions, on {budget}")
-    p.add_argument("--matrix", required=True)
+    p = command("psi1", cmd_psi1, f"empirical psi_1 constant over basis plus probe directions, on {budget}", spec=True)
     p.add_argument("--directions", type=int, default=experiments.PSI_PROBE_DIRECTIONS)
-    p.set_defaults(handler=cmd_psi1)
 
-    p = sub.add_parser("amnorm", help="sparse operator norm profile A_m")
-    p.add_argument("--matrix", required=True)
+    p = command("amnorm", cmd_amnorm, "sparse operator norm profile A_m of an ensemble", spec=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="greedy")
-    p.set_defaults(handler=cmd_amnorm)
 
-    p = sub.add_parser("net", help="construct a sphere net and report it as JSON")
+    p = command("net", cmd_net, "construct a sphere net and report it as JSON")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--epsilon", required=True, type=float)
-    p.set_defaults(handler=cmd_net)
 
-    p = sub.add_parser("bounds", help="evaluate every applicable envelope formula")
+    p = command("bounds", cmd_bounds, "evaluate every applicable envelope formula")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--m", type=int, default=None)
@@ -512,23 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="read constants from a run config file")
     p.add_argument("--psi", type=float, default=None)
     p.add_argument("--K", type=float, default=None)
-    p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("experiment", help="run the configured grid and write the result bundle")
+    p = command("experiment", cmd_experiment, "run the configured grid and write the result bundle")
     p.add_argument("--config", required=True)
-    p.set_defaults(handler=cmd_experiment)
 
-    p = sub.add_parser("fit", help="scaling-law fit from a results CSV")
+    p = command("fit", cmd_fit, "scaling-law fit from a results CSV")
     p.add_argument("--results", required=True)
-    p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("plot", help="render the log-log deviation plot from a results CSV")
+    p = command("plot", cmd_plot, "render the log-log deviation plot from a results CSV")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="read constants from a run config file")
     p.add_argument("--psi", type=float, default=None)
     p.add_argument("--K", type=float, default=None)
-    p.set_defaults(handler=cmd_plot)
 
     return parser
 

@@ -8,9 +8,9 @@ and deviation envelopes.
 
 Reproducibility contract: every trial's seed is derived up front from
 (master_seed, cell_index, trial_index) by a pure 64-bit mix, so results are
-independent of execution order and worker count.  Parallelism is per trial;
-collection is canonicalized by (cell_index, trial_index) before any
-aggregation.
+independent of execution order and worker count.  Parallelism is per trial,
+on a thread pool; collection is canonicalized by (cell_index, trial_index)
+before any aggregation.
 
 calibrate_constants performs the one-time fit of the absolute envelope
 constants on a dedicated calibration grid; the frozen numbers live in
@@ -191,8 +191,7 @@ def _trial_report(ci: int, ti: int, spec: EnsembleSpec) -> tuple[DeviationReport
     trial's seed (it reads its own column budget); other trials return None.
 
     A failure is re-raised as its nearest base error class, naming the cell
-    and trial: a subclass may take other constructor arguments, and a pool
-    worker's exception is rebuilt in the parent from its message alone."""
+    and trial, since a subclass may take other constructor arguments."""
     try:
         A = sample_ensemble(spec)
         psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS) if ti == 0 else None
@@ -216,7 +215,8 @@ def summarize_reports(reports: tuple[DeviationReport, ...], psi_hat: float) -> C
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
-    """Run every (cell, trial) job in one flat pool; results in cell order.
+    """Run every (cell, trial) job in one flat thread pool (the heavy calls
+    release the GIL), or serially on one worker; results in cell order.
     Each trial's seed comes from its cell and trial index, and reports are
     ordered by trial index, so the result is independent of worker count.
     psi_hat is the one measured by each cell's trial-0 job."""
@@ -230,11 +230,10 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     if workers <= 1 or len(jobs) == 1:
         flat = [_trial_report(*job) for job in jobs]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(jobs) // (workers * 4))
-            flat = list(pool.map(_trial_report, *zip(*jobs), chunksize=chunk))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            flat = list(pool.map(_trial_report, *zip(*jobs)))
     results = []
     for ci, cell in enumerate(grid.cells):
         cell_jobs = flat[ci * T : (ci + 1) * T]

@@ -12,13 +12,11 @@ and isotropic: E X = 0 and E X X^T = I.  The families:
                          kept as a control case for the estimators)
 
 All the module knows of a family is its row of ``_FAMILY_TABLE``: the column
-draw, the exact isotropic scale, the least exponent p it takes, the constraint
-of its hard support, whether its law is log-concave and the closed-form
-truncation tail E(<X, x>^2 - B^2) 1{|<X, x>| >= B} of a unit direction x, where
-one is known.  Spec checks, scales, tails, family tokens ('name' or 'name(p)')
-and the loader read the row and name no family.  A new family is one draw
-function and one row, appended: a row's position is the family's tag in saved
-files.
+draw, the exact isotropic scale, the least exponent p it takes, whether its law
+is log-concave and the closed-form truncation tail
+E(<X, x>^2 - B^2) 1{|<X, x>| >= B} of a unit direction x, where one is known.
+Spec checks, scales, tails and family tokens ('name' or 'name(p)') read the row
+and name no family.  A new family is one draw function and one row.
 
 Isotropy normalizations are exact:
 
@@ -45,7 +43,6 @@ gaussian and ball tails (see rng).
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -61,8 +58,6 @@ __all__ = [
     "isotropic_scale",
     "column_blocks",
     "sample_ensemble",
-    "save_matrix",
-    "load_matrix",
     "parse_family_token",
 ]
 
@@ -176,12 +171,6 @@ def _lp_scale(n: int, p: float) -> float:
     return float(np.exp(-0.5 * log_var))
 
 
-def _lp_norm(x: np.ndarray, p: float) -> float:
-    """The largest column l_p norm of x, to the p-th power when p is finite."""
-    a = np.abs(x)
-    return float(a.max() if math.isinf(p) else np.sum(a**p, axis=0).max())
-
-
 def _columns_gaussian(spec: EnsembleSpec, cols: range, tag: int) -> np.ndarray:
     return rng.normal_columns(spec.seed, cols, tag, spec.n)
 
@@ -276,29 +265,22 @@ def _tail_exponential(B: float, n: int, x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _Row:
-    """One family's draw, scale, least exponent, support, log-concavity and
-    truncation tail (see the module docstring); None marks a fact it lacks."""
+    """One family's draw, scale, least exponent, log-concavity and truncation
+    tail (see the module docstring); None marks a fact it lacks."""
 
     draw: Callable[[EnsembleSpec, range, int], np.ndarray]  # (spec, cols, tag) -> columns cols
     scale: Callable[[int, float | None], float]  # (n, p) -> the exact isotropic scale
     p_min: float | None  # the least exponent p; None when the family takes none
-    support: Callable[[np.ndarray, float | None], float] | None  # (x / scale, p) -> a value <= 1 on the support
     log_concave: bool
     tail: Callable[[float, int, np.ndarray], float] | None  # (B, n, x) -> the truncation tail; None: no closed form
 
 
-#: One row per family, in the order of its binary-format tag: append new families last.
 _FAMILY_TABLE = {
-    "gaussian": _Row(_columns_gaussian, lambda n, p: 1.0, None, None, True, _tail_gaussian),
-    "euclidean_ball": _Row(
-        _columns_ball, lambda n, p: math.sqrt(n + 2.0), None, lambda x, p: _lp_norm(x, 2), True, _tail_ball
-    ),
-    "exponential_product": _Row(_columns_exponential, lambda n, p: 2.0**-0.5, None, None, True, _tail_exponential),
-    "lp_ball": _Row(_columns_lp_ball, _lp_scale, 1.0, _lp_norm, True, None),
-    # 1 + the largest distance of an |x_i| from 1: exactly 1 on {-1, 1}^n.
-    "rademacher_control": _Row(
-        _columns_rademacher, lambda n, p: 1.0, None, lambda x, p: 1.0 + float(abs(np.abs(x) - 1.0).max()), False, None
-    ),
+    "gaussian": _Row(_columns_gaussian, lambda n, p: 1.0, None, True, _tail_gaussian),
+    "euclidean_ball": _Row(_columns_ball, lambda n, p: math.sqrt(n + 2.0), None, True, _tail_ball),
+    "exponential_product": _Row(_columns_exponential, lambda n, p: 2.0**-0.5, None, True, _tail_exponential),
+    "lp_ball": _Row(_columns_lp_ball, _lp_scale, 1.0, True, None),
+    "rademacher_control": _Row(_columns_rademacher, lambda n, p: 1.0, None, False, None),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
@@ -327,21 +309,6 @@ def sample_ensemble(spec: EnsembleSpec) -> SampleMatrix:
     return SampleMatrix(entries=entries, spec=spec)
 
 
-# --- serialization -----------------------------------------------------------
-#
-# Binary layout, version 1: little-endian header
-#   magic "CVCN" | version u32 | n u64 | N u64 | family tag u32 | seed u64 |
-#   param f64 (the exponent p; 0.0, and only 0.0, when the family takes none)
-# followed by n*N float64 entries in column order.  The param field exists so
-# a file round-trips to the exact generating spec (needed to re-check family
-# support constraints on load).
-
-MAGIC = b"CVCN"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIQQIQd")
-_FAMILY_TAGS = {name: i for i, name in enumerate(FAMILIES)}
-
-
 def parse_family_token(token: str) -> tuple[str, float | None]:
     """(family, p) of a family token, e.g. 'gaussian' or 'lp_ball(1.5)'."""
     token = token.strip()
@@ -354,57 +321,3 @@ def parse_family_token(token: str) -> tuple[str, float | None]:
     if token in FAMILIES:
         return token, None
     raise ContractError(f"unknown family token {token!r}")
-
-
-def save_matrix(mat: SampleMatrix, path) -> None:
-    """Write the version-1 binary format; requires a generating spec."""
-    if mat.spec is None:
-        raise ContractError("cannot serialize a SampleMatrix without its spec")
-    spec = mat.spec
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        spec.n,
-        spec.N,
-        _FAMILY_TAGS[spec.family],
-        spec.seed,
-        0.0 if spec.p is None else float(spec.p),
-    )
-    payload = np.asarray(mat.entries.T, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def load_matrix(path) -> SampleMatrix:
-    """Read the binary format, validate the header against the family's row,
-    re-check its support constraint."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ContractError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, n, N, tag, seed, param = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ContractError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ContractError(f"{path}: unsupported format version {version}")
-    if tag >= len(FAMILIES):
-        raise ContractError(f"{path}: unknown family tag {tag}")
-    family = FAMILIES[tag]
-    expected = _HEADER.size + 8 * n * N
-    if len(blob) != expected:
-        raise ContractError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    if not np.isfinite(payload).all():
-        raise ContractError(f"{path}: payload contains non-finite values")
-    entries = np.ascontiguousarray(payload.reshape(N, n).T)
-    row = _FAMILY_TABLE[family]
-    p = None if row.p_min is None and param == 0.0 else param
-    try:
-        spec = EnsembleSpec(family=family, n=n, N=N, seed=seed, p=p)
-    except ContractError as exc:
-        raise ContractError(f"{path}: {exc}") from exc
-    worst = 0.0 if row.support is None else row.support(entries / row.scale(n, p), p)
-    if worst > 1.0 + 1e-12:
-        raise ContractError(f"{path}: {family} support violated: constraint value {worst} > 1")
-    return SampleMatrix(entries=entries, spec=spec)

@@ -28,7 +28,7 @@ from covcon.cli import (
 from covcon.errors import ConfigError, ContractError, NumericalError
 from covcon.experiments import ExperimentGrid
 from covcon.linalg import operator_deviation
-from covcon.sampler import EnsembleSpec, SampleMatrix, load_matrix, save_matrix
+from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble
 
 SMALL_CELLS = (("gaussian", 4, 16), ("gaussian", 4, 64), ("gaussian", 4, 256))
 
@@ -145,71 +145,62 @@ def test_resolve_workers(monkeypatch, tmp_path):
     assert resolve_workers("auto") == 1
 
 
-# --- sample / deviation round trips ------------------------------------------
+# --- sample and deviation ----------------------------------------------------
 
 
 def test_sample_writes_deterministic_binary(tmp_path):
-    out1, out2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    # The .npy export is written to the name given, with no suffix added.
+    out1, out2 = tmp_path / "a.npy", tmp_path / "b"
     args = ["sample", "--family", "gaussian", "--n", "3", "--N", "7", "--seed", "0xFEED"]
     assert run_cli(args + ["--out", str(out1)]).returncode == 0
     assert run_cli(args + ["--out", str(out2)]).returncode == 0
-    blob = out1.read_bytes()
-    assert blob[:4] == b"CVCN"
-    assert blob == out2.read_bytes()
-    mat = load_matrix(out1)
-    assert mat.spec == EnsembleSpec("gaussian", 3, 7, 0xFEED)
+    assert out1.read_bytes() == out2.read_bytes()
+    assert np.array_equal(np.load(out1), sample_ensemble(EnsembleSpec("gaussian", 3, 7, 0xFEED)).entries)
 
 
 def test_sample_lp_flag_and_token_agree(tmp_path):
     # The exponent is given in the family token, as in config cells.
-    out = tmp_path / "t.bin"
+    out = tmp_path / "t.npy"
     base = ["sample", "--n", "2", "--N", "5", "--seed", "9"]
     assert run_cli(base + ["--family", "lp_ball(1.5)", "--out", str(out)]).returncode == 0
-    assert load_matrix(out).spec == EnsembleSpec("lp_ball", 2, 5, 9, p=1.5)
-    missing = run_cli(base + ["--family", "lp_ball", "--out", str(tmp_path / "m.bin")])
+    assert np.array_equal(np.load(out), sample_ensemble(EnsembleSpec("lp_ball", 2, 5, 9, p=1.5)).entries)
+    missing = run_cli(base + ["--family", "lp_ball", "--out", str(tmp_path / "m.npy")])
     assert missing.returncode == 2
     assert "lp_ball requires the exponent p" in missing.stderr
+    assert not (tmp_path / "m.npy").exists()
 
 
-def test_deviation_identity_oracle(tmp_path):
+def test_deviation_identity_oracle():
     # Orthogonal rows of squared length 2 make AA^T/N exactly the identity.
-    path = tmp_path / "id.bin"
-    entries = np.array([[1.0, 1.0], [1.0, -1.0]])
-    mat = SampleMatrix(entries=entries, spec=EnsembleSpec("gaussian", 2, 2, 0))
-    save_matrix(mat, path)
-    proc = run_cli(["deviation", "--matrix", str(path)])
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    doc = operator_deviation(SampleMatrix(entries=np.array([[1.0, 1.0], [1.0, -1.0]]))).to_json_dict()
     _validate(doc, "deviation_report.json")
     assert doc["deviation"] == 0.0
     assert doc["lambda_min"] == doc["lambda_max"] == 2.0
 
 
-def test_deviation_row_oracle(tmp_path):
+def test_deviation_row_oracle():
     # Entries (2, 0) in one row: AA^T/N = 2, deviation 1.
-    path = tmp_path / "row.bin"
-    save_matrix(
-        SampleMatrix(entries=np.array([[2.0, 0.0]]), spec=EnsembleSpec("gaussian", 1, 2, 0)), path
-    )
-    doc = json.loads(run_cli(["deviation", "--matrix", str(path)]).stdout)
+    doc = operator_deviation(SampleMatrix(entries=np.array([[2.0, 0.0]]))).to_json_dict()
     assert doc["deviation"] == 1.0
     assert doc["lambda_max"] == 4.0
 
 
-def test_deviation_cli_matches_library(tmp_path):
-    path = tmp_path / "m.bin"
-    run_cli(["sample", "--family", "euclidean_ball", "--n", "4", "--N", "50", "--seed", "5", "--out", str(path)])
-    doc = json.loads(run_cli(["deviation", "--matrix", str(path)]).stdout)
-    assert doc == operator_deviation(load_matrix(path)).to_json_dict()
+def test_deviation_cli_matches_library():
+    for family in FAMILIES:
+        p = 1.5 if family == "lp_ball" else None
+        token = family if p is None else f"{family}({p})"
+        proc = run_cli(["deviation", "--family", token, "--n", "4", "--N", "50", "--seed", "5"])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        _validate(doc, "deviation_report.json")
+        assert doc == operator_deviation(sample_ensemble(EnsembleSpec(family, 4, 50, 5, p))).to_json_dict(), token
 
 
 # --- stdout JSON schemas -----------------------------------------------------
 
 
-def test_psi1_command_schema(tmp_path):
-    path = tmp_path / "m.bin"
-    run_cli(["sample", "--family", "gaussian", "--n", "4", "--N", "200", "--seed", "3", "--out", str(path)])
-    proc = run_cli(["psi1", "--matrix", str(path), "--directions", "8"])
+def test_psi1_command_schema():
+    proc = run_cli(["psi1", "--family", "gaussian", "--n", "4", "--N", "200", "--seed", "3", "--directions", "8"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     _validate(doc, "psi1.json")
@@ -217,40 +208,33 @@ def test_psi1_command_schema(tmp_path):
     assert doc["psi1"] > 0.0
 
 
-def test_psi1_command_matches_the_bundle_past_the_column_budget(tmp_path):
+def test_psi1_help_states_the_column_budget(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["psi1", "-h"])
+    assert info.value.code == 0
+    assert "on the first 65,536 columns at most" in " ".join(capsys.readouterr().out.split())
+
+
+def test_psi1_command_matches_the_bundle_past_the_column_budget():
     # A cell wider than statistics.PSI_SAMPLE_COLUMNS: the command on its
-    # trial-0 matrix prints the psi_hat of run_grid, and N stays the file's.
+    # trial-0 spec prints the psi_hat of run_grid, and N stays the spec's.
     grid = ExperimentGrid((("gaussian", 2, 70_000),), 1, experiments.VERIFICATION_MASTER_SEED, DEFAULT_CONFIG)
     (result,) = experiments.run_grid(grid)
     seed = experiments.derive_seed(grid.master_seed, 0, 0)
-    path = tmp_path / "wide.bin"
-    run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "70000", "--seed", str(seed), "--out", str(path)])
-    proc = run_cli(["psi1", "--matrix", str(path), "--directions", "16"])
+    proc = run_cli(["psi1", "--family", "gaussian", "--n", "2", "--N", "70000", "--seed", str(seed), "--directions", "16"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["psi1"] == result.summary.psi_hat
     assert doc["N"] == 70_000
 
 
-def test_psi1_command_overflow_exits_4(tmp_path):
-    # A gaussian file may hold any finite entries; a psi_1 constant beyond
-    # the float64 range is a numerical failure.
-    path = tmp_path / "huge.bin"
-    spec = EnsembleSpec("gaussian", 2, 3, 1)
-    save_matrix(SampleMatrix(entries=np.full((2, 3), 1.7e308), spec=spec), path)
-    proc = run_cli(["psi1", "--matrix", str(path), "--directions", "0"])
-    assert proc.returncode == 4, proc.stderr
-    assert "overflows" in proc.stderr
-
-
-def test_amnorm_command_schema(tmp_path):
-    path = tmp_path / "m.bin"
-    run_cli(["sample", "--family", "gaussian", "--n", "3", "--N", "16", "--seed", "2", "--out", str(path)])
-    exact = json.loads(run_cli(["amnorm", "--matrix", str(path), "--mode", "exact"]).stdout)
+def test_amnorm_command_schema():
+    spec = ["--family", "gaussian", "--n", "3", "--N", "16", "--seed", "2"]
+    exact = json.loads(run_cli(["amnorm", *spec, "--mode", "exact"]).stdout)
     _validate(exact, "amnorm.json")
     assert exact["m_values"] == [1, 2, 4, 8, 16]
     assert "certificates" in exact
-    greedy = json.loads(run_cli(["amnorm", "--matrix", str(path)]).stdout)
+    greedy = json.loads(run_cli(["amnorm", *spec]).stdout)
     _validate(greedy, "amnorm.json")
     assert "certificates" not in greedy
 
@@ -473,8 +457,8 @@ def test_cli_import_defers_qmc_and_quad():
 def test_cli_starts_without_scipy_or_a_process_pool(tmp_path):
     # Start-up and every command that draws no sample (bounds, fit, plot,
     # --help, a config error) load numpy and the standard library only:
-    # scipy.special loads at the first draw, the process pool at the first
-    # run on more than one worker.
+    # scipy.special loads at the first draw, and a run on more than one
+    # worker loads no process pool.
     csv_path = tmp_path / "results.csv"
     csv_path.write_text(results_csv_text(experiments.run_grid(small_config(tmp_path).grid)))
     bad_config = tmp_path / "bad.ini"
@@ -497,20 +481,21 @@ def test_cli_starts_without_scipy_or_a_process_pool(tmp_path):
         "print(codes)\n"
         "print(heavy())\n"
         f"codes = [cli.main(['sample', '--family', 'gaussian', '--n', '2', '--N', '4', '--seed', '0', "
-        f"'--out', {str(tmp_path / 'm.bin')!r}])]\n"
+        f"'--out', {str(tmp_path / 'm.npy')!r}])]\n"
         "print(codes, 'scipy.special' in sys.modules)\n"
         "grid = experiments.ExperimentGrid((('gaussian', 4, 16), ('gaussian', 4, 64)), 3, 7, bounds.DEFAULT_CONFIG)\n"
         "one, two = (cli.results_csv_text(experiments.run_grid(grid, workers=w)) for w in (1, 2))\n"
         "print(one == two, len(one.splitlines()))\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 2, 0]", "[]", "[0] True", "True 7"]
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 2, 0]", "[]", "[0] True", "True 7", "[]"]
 
 
 def test_exit_code_validation_errors(tmp_path):
     assert run_cli(["sample", "--family", "cauchy", "--n", "2", "--N", "4", "--seed", "0",
-                    "--out", str(tmp_path / "x.bin")]).returncode == 2
+                    "--out", str(tmp_path / "x.npy")]).returncode == 2
     assert run_cli(["net", "--n", "9", "--epsilon", "0.5"]).returncode == 2
     bad_config = tmp_path / "bad.ini"
     bad_config.write_text("[grid\ncells = gaussian:2:4\n")
@@ -580,28 +565,23 @@ def test_unfittable_grid_is_refused_at_parse(tmp_path, capsys):
 
 
 def test_exit_code_io_errors(tmp_path):
-    assert run_cli(["deviation", "--matrix", str(tmp_path / "missing.bin")]).returncode == 3
-    target = tmp_path / "no_such_dir" / "x.bin"
+    assert run_cli(["fit", "--results", str(tmp_path / "missing.csv")]).returncode == 3
+    target = tmp_path / "no_such_dir" / "x.npy"
     assert run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "4", "--seed", "0",
                     "--out", str(target)]).returncode == 3
 
 
 def test_exit_code_argparse_errors():
     proc = run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "4", "--seed", "-1",
-                    "--out", "x.bin"])
+                    "--out", "x.npy"])
     assert proc.returncode == 2
     assert run_cli(["unknown-command"]).returncode == 2
 
 
-def test_exit_code_numerical_failure(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "m.bin"
-    save_matrix(
-        SampleMatrix(entries=np.eye(2), spec=EnsembleSpec("gaussian", 2, 2, 0)), path
-    )
-
+def test_exit_code_numerical_failure(monkeypatch, capsys):
     def blow_up(_matrix):
         raise NumericalError("eigensolver did not converge")
 
     monkeypatch.setattr(cli, "operator_deviation", blow_up)
-    assert cli.main(["deviation", "--matrix", str(path)]) == 4
+    assert cli.main(["deviation", "--family", "gaussian", "--n", "2", "--N", "2", "--seed", "0"]) == 4
     assert "did not converge" in capsys.readouterr().err

@@ -2,10 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from covcon import bounds, experiments, rng, statistics
 from covcon.bounds import DEFAULT_CONFIG, BoundConfig, main_probability_budget, theorem1_rhs
 from covcon.errors import ContractError, NumericalError, RegimeError, ResourceError
@@ -193,6 +196,24 @@ def test_worker_count_does_not_change_results():
     assert run_grid(grid, workers=1) == run_grid(grid, workers=3)
 
 
+def test_thread_pool_matches_serial_for_every_family():
+    # A fresh interpreter, so the first scipy.special import (lp_ball's draw,
+    # every normal) happens inside the pool's threads.
+    code = (
+        "import sys\n"
+        "from covcon import bounds, experiments\n"
+        "cells = [('gaussian', 3, 24), ('euclidean_ball', 4, 16), ('exponential_product', 3, 40),\n"
+        "         ('lp_ball(1.5)', 4, 24), ('rademacher_control', 3, 24)]\n"
+        "grid = experiments.ExperimentGrid(tuple(cells), 6, 7, bounds.DEFAULT_CONFIG)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "five, two, one = (experiments.run_grid(grid, workers=w) for w in (5, 2, 1))\n"
+        "print(five == one, two == one, len(one))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True True 5"]
+
+
 def test_each_trial_samples_once(monkeypatch):
     # psi_hat comes from the trial-0 job's own matrix, not a second draw.
     grid = _grid([("gaussian", 3, 24), ("euclidean_ball", 3, 24)], trials=4)
@@ -229,10 +250,11 @@ def test_trial_failure_names_cell_and_trial(monkeypatch, error, base):
         return real(A)
 
     monkeypatch.setattr(experiments, "operator_deviation", fail_cell_1_trial_2)
-    with pytest.raises(base, match=r"cell 1 trial 2: ") as info:
-        run_grid(grid)
-    assert type(info.value) is base
-    assert info.value.__cause__ is error
+    for workers in (1, 2):
+        with pytest.raises(base, match=r"cell 1 trial 2: ") as info:
+            run_grid(grid, workers=workers)
+        assert type(info.value) is base
+        assert info.value.__cause__ is error
 
 
 def test_summary_recomputable_from_reports():

@@ -18,7 +18,7 @@ from covcon.linalg import (
     operator_deviation,
     sym_eigen,
 )
-from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble, save_matrix
+from covcon.sampler import FAMILIES, EnsembleSpec, SampleMatrix, sample_ensemble
 from covcon.statistics import build_net, net_sup_deviation
 
 
@@ -207,7 +207,7 @@ def test_lapack_extremes_match_jacobi_oracle(family):
         assert abs(rep.lambda_max / N - hi) <= 1e-12 * norm, (n, N)
 
 
-def test_deviation_rejects_overflowing_gram(tmp_path, capsys):
+def test_deviation_rejects_overflowing_gram():
     # The entries are finite but their Gram matrix is not: every Gram path
     # refuses it with one message, without a warning.
     A = SampleMatrix(entries=np.full((2, 3), 1e200), spec=EnsembleSpec("gaussian", 2, 3, 0))
@@ -217,16 +217,10 @@ def test_deviation_rejects_overflowing_gram(tmp_path, capsys):
         for measure in (operator_deviation, matrix_norm, gram_covariance, lambda A: net_sup_deviation(A, net)):
             with pytest.raises(ContractError, match="^the Gram matrix overflows"):
                 measure(A)
-    path = tmp_path / "big.bin"
-    save_matrix(A, path)
-    assert cli.main(["deviation", "--matrix", str(path)]) == 2
-    assert "Gram matrix overflows" in capsys.readouterr().err
 
 
-def test_lapack_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+def test_lapack_failure_is_a_numerical_error(monkeypatch, capsys):
     A = sample_ensemble(EnsembleSpec("gaussian", 3, 8, 1))
-    path = tmp_path / "m.bin"
-    save_matrix(A, path)
 
     def no_convergence(_gram):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -236,7 +230,7 @@ def test_lapack_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):
         operator_deviation(A)
     with pytest.raises(NumericalError):
         matrix_norm(A)
-    assert cli.main(["deviation", "--matrix", str(path)]) == 4
+    assert cli.main(["deviation", "--family", "gaussian", "--n", "3", "--N", "8", "--seed", "1"]) == 4
     assert "did not converge" in capsys.readouterr().err
 
 

@@ -1,8 +1,6 @@
-"""Ensemble sampling: isotropy, supports, determinism, serialization."""
+"""Ensemble sampling: isotropy, supports, determinism, family tokens."""
 
 import math
-import re
-import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -15,9 +13,7 @@ from covcon.sampler import (
     EnsembleSpec,
     SampleMatrix,
     isotropic_scale,
-    load_matrix,
     sample_ensemble,
-    save_matrix,
 )
 
 ALL_SPECS = [
@@ -333,91 +329,7 @@ def test_lp2_matches_ball_in_law():
     assert d < critical
 
 
-# --- serialization -----------------------------------------------------------
-
-
-def test_binary_round_trip(tmp_path):
-    for spec in (
-        EnsembleSpec("gaussian", 3, 7, 123),
-        EnsembleSpec("lp_ball", 2, 5, 9, p=1.5),
-    ):
-        path = tmp_path / f"{spec.family}.bin"
-        A = sample_ensemble(spec)
-        save_matrix(A, path)
-        B = load_matrix(path)
-        assert B.spec == spec
-        assert np.array_equal(A.entries, B.entries)
-        with open(path, "rb") as fh:
-            assert fh.read(4) == b"CVCN"
-
-
-def test_saved_family_tags_are_stable(tmp_path):
-    # Files already written name their family by position in FAMILIES, so
-    # the tags never move; a new family takes the next tag.
-    expected = {
-        "gaussian": 0,
-        "euclidean_ball": 1,
-        "exponential_product": 2,
-        "lp_ball": 3,
-        "rademacher_control": 4,
-    }
-    assert sampler.FAMILIES == tuple(expected)
-    for family, tag in expected.items():
-        spec = EnsembleSpec(family, 2, 3, 5, p=1.5 if family == "lp_ball" else None)
-        path = tmp_path / f"{family}.bin"
-        save_matrix(sample_ensemble(spec), path)
-        header = sampler._HEADER.unpack_from(path.read_bytes())
-        assert header[4] == tag
-        assert load_matrix(path).spec == spec
-    blob = bytearray(path.read_bytes())
-    blob[24:28] = (len(expected)).to_bytes(4, "little")  # the family tag field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ContractError, match="unknown family tag 5"):
-        load_matrix(path)
-
-
-def test_load_rejects_corruption(tmp_path):
-    spec = EnsembleSpec("gaussian", 2, 3, 1)
-    path = tmp_path / "m.bin"
-    save_matrix(sample_ensemble(spec), path)
-    blob = bytearray(path.read_bytes())
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"XXXX" + bytes(blob[4:]))
-    with pytest.raises(ContractError):
-        load_matrix(bad_magic)
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(bytes(blob[:-8]))
-    with pytest.raises(ContractError):
-        load_matrix(truncated)
-    # A family that takes no exponent carries param 0.0 (the f64 at offset 36).
-    bad_param = tmp_path / "param.bin"
-    bad_param.write_bytes(bytes(blob[:36]) + struct.pack("<d", 2.5) + bytes(blob[44:]))
-    with pytest.raises(ContractError, match=re.escape(f"{bad_param}: gaussian takes no exponent, got p=2.5")):
-        load_matrix(bad_param)
-    # A zero n (offset 8) or N (offset 16) field with its empty payload: the
-    # size check passes, EnsembleSpec refuses, and the message names the file.
-    for name, offset, field in (("n0.bin", 8, "n"), ("N0.bin", 16, "N")):
-        empty = tmp_path / name
-        empty.write_bytes(bytes(blob[:offset]) + struct.pack("<Q", 0) + bytes(blob[offset + 8 : 44]))
-        with pytest.raises(ContractError, match=re.escape(f"{empty}: {field} must be a positive integer, got 0")):
-            load_matrix(empty)
-
-
-def test_load_rechecks_support(tmp_path):
-    path = tmp_path / "bad.bin"
-    for spec, factor in (
-        (EnsembleSpec("euclidean_ball", 2, 4, 1), 3.0),
-        (EnsembleSpec("lp_ball", 2, 4, 1, p=1.5), 3.0),
-        (EnsembleSpec("lp_ball", 2, 4, 1, p=math.inf), 3.0),
-        (EnsembleSpec("rademacher_control", 2, 4, 1), 3.0),
-        (EnsembleSpec("rademacher_control", 2, 4, 1), 0.5),  # inside the cube, off its vertices
-    ):
-        A = sample_ensemble(spec)
-        save_matrix(A, path)
-        assert np.array_equal(load_matrix(path).entries, A.entries)
-        save_matrix(SampleMatrix(entries=A.entries * factor, spec=spec), path)
-        with pytest.raises(ContractError, match=f"{spec.family} support violated"):
-            load_matrix(path)
+# --- family tokens -----------------------------------------------------------
 
 
 def test_family_token_round_trip():
