@@ -150,14 +150,16 @@ def thmold_bound(cfg: BoundConfig, m: int, n: int, N: int, max_col_norm: float) 
     """Sparse-norm envelope C_old psi t max{sqrt(m) ln(2N/m), sqrt(n)} + 6 max|X_i|."""
     _check_shape(n, N)
     require_int("m", m, 1, N)
+    if not 0.0 <= max_col_norm < math.inf:
+        raise ContractError(f"max_col_norm must be finite and >= 0, got {max_col_norm!r}")
     core = max(math.sqrt(m) * math.log(2.0 * N / m), math.sqrt(n))
     return cfg.C_old * cfg.psi * cfg.t * core + 6.0 * max_col_norm
 
 
 def bernstein_tail(theta: float, N: int, cfg: BoundConfig, B: float) -> float:
     """exp(-theta^2 N / (2 (C1 psi^4 + B^2 theta/3))): tail of the truncated sum."""
-    if not theta > 0.0:
-        raise ContractError(f"theta must be positive, got {theta!r}")
+    if not 0.0 < theta < math.inf:
+        raise ContractError(f"theta must be finite and positive, got {theta!r}")
     if not B >= 0.0:
         raise ContractError(f"B must be >= 0, got {B!r}")
     denom = 2.0 * (cfg.C1 * cfg.psi**4 + B * B * theta / 3.0)
@@ -167,6 +169,8 @@ def bernstein_tail(theta: float, N: int, cfg: BoundConfig, B: float) -> float:
 def cond3_holds(theta: float, N: int, B: float, cfg: BoundConfig, n: int) -> tuple[bool, bool]:
     """The two strict inequalities making the Bernstein tail beat the net size:
     theta^2 N > 8 C1 psi^4 n ln 7  and  theta N > (8/3) B^2 n ln 7."""
+    if not (0.0 <= theta < math.inf and B >= 0.0):
+        raise ContractError(f"cond3 needs a finite theta >= 0 and B >= 0, got theta={theta!r}, B={B!r}")
     first = theta * theta * N > 8.0 * cfg.C1 * cfg.psi**4 * n * _LN7
     second = theta * N > (8.0 / 3.0) * B * B * n * _LN7
     return first, second
@@ -216,6 +220,8 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
     counterpart of the pigeonhole bound on |E_B|."""
     _check_shape(n, N)
     require_int("m", m, 1, N)
+    if not (B >= 0.0 and big_m >= 0.0):
+        raise ContractError(f"B and M must be >= 0, got B={B!r}, M={big_m!r}")
     rhs = cfg.C_old * (big_m + cfg.psi**2 * m * math.log(2.0 * N / m) ** 2)
     return B * B * m <= rhs
 
@@ -251,7 +257,7 @@ def evaluate_all(
 
     B and theta default to their chosen values choose_B / choose_theta when
     the regime admits them; m defaults to min(n, N).  Non-finite B, theta or
-    max_col_norm, and a negative max_col_norm, are refused up front.
+    max_col_norm, a negative max_col_norm and a theta <= 0 are refused up front.
     """
     _check_shape(n, N)
     for name, value in (("B", B), ("theta", theta), ("max_col_norm", max_col_norm)):
@@ -259,6 +265,8 @@ def evaluate_all(
             raise ContractError(f"{name} must be finite, got {value!r}")
     if not max_col_norm >= 0.0:
         raise ContractError(f"max_col_norm must be >= 0, got {max_col_norm!r}")
+    if theta is not None and not theta > 0.0:
+        raise ContractError(f"theta must be positive, got {theta!r}")
     budget_main = main_probability_budget(cfg, n)
     budget_old = min(1.0, math.exp(-cfg.t * math.sqrt(n)))
     if m is None:

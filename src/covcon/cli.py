@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
-from .errors import U64_MAX, ConfigError, ContractError, NumericalError, require_int
+from .errors import ConfigError, ContractError, NumericalError, require_int
 from .experiments import CellResult, ExperimentGrid, ScalingFit
 from .linalg import DeviationReport, operator_deviation
 from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
@@ -60,7 +60,8 @@ _EMIT_CHOICES = frozenset({"csv", "json", "svg"})
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed, validated run configuration; to_text/parse round-trips."""
+    """A run configuration that checks its own fields, so one built in code
+    obeys the rules a parsed one does and parse_config(c.to_text()) == c."""
 
     grid: ExperimentGrid
     output_dir: str
@@ -68,10 +69,17 @@ class RunConfig:
     parallelism: int | str
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.emit, frozenset) and self.emit and self.emit <= _EMIT_CHOICES):
+            emit = sorted(self.emit, key=repr) if isinstance(self.emit, frozenset) else self.emit
+            raise ConfigError(f"emit must be a nonempty frozenset within {sorted(_EMIT_CHOICES)}, got {emit!r}")
         if self.parallelism != "auto":
-            require_int("parallelism", self.parallelism)
-        if not self.output_dir.strip():
-            raise ConfigError(f"output_dir must name a directory, got {self.output_dir!r}")
+            try:
+                require_int("parallelism", self.parallelism)
+            except ContractError as exc:
+                raise ConfigError(str(exc)) from None
+        # to_text writes output_dir on one line and configparser strips values.
+        if self.output_dir != self.output_dir.strip() or len(self.output_dir.splitlines()) != 1:
+            raise ConfigError(f"output_dir must be one nonblank line with no surrounding whitespace, got {self.output_dir!r}")
         # Refuse a grid the scaling fit would reject before any trial runs.
         trials, ratios = self.grid.trials_per_cell, sorted({n / N for _, n, N in self.grid.cells})
         if trials < experiments.FIT_MIN_TRIALS or len(ratios) < experiments.FIT_MIN_RATIOS:
@@ -154,17 +162,13 @@ def parse_config(text: str) -> RunConfig:
     grid = ExperimentGrid(cells, trials, master, bound_config)
 
     emit = frozenset(tok.strip() for tok in out_sec["emit"].split(",") if tok.strip())
-    if not emit or not emit <= _EMIT_CHOICES:
-        raise ConfigError(f"emit must be a nonempty subset of {sorted(_EMIT_CHOICES)}, got {sorted(emit)}")
-    par_raw = out_sec["parallelism"].strip()
-    parallelism: int | str = par_raw
-    if par_raw != "auto":
+    parallelism: int | str = out_sec["parallelism"]
+    if parallelism != "auto":
         try:
-            parallelism = int(par_raw)
-            require_int("parallelism", parallelism)
-        except ValueError as exc:  # ContractError is a ValueError
-            raise ConfigError(f"parallelism must be 'auto' or a positive integer, got {par_raw!r}") from exc
-    return RunConfig(grid=grid, output_dir=out_sec["output_dir"].strip(), emit=emit, parallelism=parallelism)
+            parallelism = int(parallelism)
+        except ValueError as exc:
+            raise ConfigError(f"parallelism must be 'auto' or a positive integer, got {parallelism!r}") from exc
+    return RunConfig(grid=grid, output_dir=out_sec["output_dir"], emit=emit, parallelism=parallelism)
 
 
 def resolve_workers(parallelism: int | str) -> int:
@@ -379,16 +383,9 @@ def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
 # --- subcommands -------------------------------------------------------------
 
 
-def _u64(text: str) -> int:
-    value = int(text, 0)
-    if not 0 <= value <= U64_MAX:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an unsigned 64-bit integer")
-    return value
-
-
 def _load_bound_config(args) -> BoundConfig:
     cfg = bounds.DEFAULT_CONFIG
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read()).grid.bound_config
     psi = args.psi if args.psi is not None else cfg.psi
@@ -476,16 +473,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, text, spec=False):
+    def command(name, handler, text, spec=False, constants=False):
         """A subcommand whose -h repeats its one-line `text`; `spec` adds the
-        four flags that name the matrix it draws."""
+        four flags that name the matrix it draws (the seed in any int()
+        base; EnsembleSpec checks each value), `constants` the three that
+        set its envelope constants."""
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(handler=handler)
         if spec:
             p.add_argument("--family", required=True, help="family token, e.g. gaussian or lp_ball(1.5)")
             p.add_argument("--n", required=True, type=int)
             p.add_argument("--N", required=True, type=int)
-            p.add_argument("--seed", required=True, type=_u64)
+            p.add_argument("--seed", required=True, type=lambda text: int(text, 0))
+        if constants:
+            p.add_argument("--config", default=None, help="read constants from a run config file")
+            p.add_argument("--psi", type=float, default=None)
+            p.add_argument("--K", type=float, default=None)
         return p
 
     p = command("sample", cmd_sample, "draw an ensemble and write its entries as a .npy file", spec=True)
@@ -504,16 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--epsilon", required=True, type=float)
 
-    p = command("bounds", cmd_bounds, "evaluate every applicable envelope formula")
+    p = command("bounds", cmd_bounds, "evaluate every applicable envelope formula", constants=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--B", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--max-col-norm", dest="max_col_norm", type=float, default=0.0)
-    p.add_argument("--config", default=None, help="read constants from a run config file")
-    p.add_argument("--psi", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
 
     p = command("experiment", cmd_experiment, "run the configured grid and write the result bundle")
     p.add_argument("--config", required=True)
@@ -521,12 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit", cmd_fit, "scaling-law fit from a results CSV")
     p.add_argument("--results", required=True)
 
-    p = command("plot", cmd_plot, "render the log-log deviation plot from a results CSV")
+    p = command("plot", cmd_plot, "render the log-log deviation plot from a results CSV", constants=True)
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="read constants from a run config file")
-    p.add_argument("--psi", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
 
     return parser
 

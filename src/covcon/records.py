@@ -1,7 +1,8 @@
 """One JSON rule for every result record.
 
 A record is a frozen dataclass that mixes in Record; its JSON object is its
-fields in declaration order, each made plain:
+fields in declaration order, a field whose value is None omitted, each made
+plain:
 
     numpy array          -> nested list (ndarray.tolist)
     tuple or list        -> list, elementwise
@@ -48,6 +49,6 @@ class Record:
             value = plain(getattr(self, f.name))
             if f.name == "cell":
                 d["family"], d["n"], d["N"] = value
-            else:
+            elif value is not None:
                 d[f.name] = value
         return d

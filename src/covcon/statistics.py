@@ -102,12 +102,6 @@ class SparseNormProfile(Record):
     mode: str
     certificates: tuple[tuple[int, ...], ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        d = super().to_json_dict()
-        if self.certificates is None:
-            del d["certificates"]
-        return d
-
 
 @dataclass(frozen=True)
 class TruncationSplit(Record):
@@ -147,7 +141,7 @@ class SphereNet(Record):
 
 
 def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise empirical psi_1 values for a (d, T) array.
+    """Row-wise empirical psi_1 values for a nonempty (d, T) array.
 
     Solves mean_j exp(|a_ij| s) = 2 per row for s = 1/C (see the module
     docstring).  Returns (values, lo, hi) in C; all-zero rows get value 0
@@ -155,8 +149,6 @@ def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the float64 range.
     """
     a = np.abs(np.asarray(arr, dtype=np.float64))
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise ContractError(f"expected a nonempty (d, T) sample array, got shape {a.shape}")
     amax = a.max(axis=1)
     # NaN and inf propagate through max, so this checks every entry.
     if not np.isfinite(amax).all():

@@ -132,6 +132,11 @@ def test_thmold_validation():
         thmold_bound(UNIT, 0, 2, 4, 0.0)
     with pytest.raises(ContractError):
         thmold_bound(UNIT, 5, 2, 4, 0.0)
+    # The column term takes a finite norm >= 0, not a value that would
+    # lower the envelope below zero or turn it into nan.
+    for bad in (-5.0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="^max_col_norm must be finite and >= 0"):
+            thmold_bound(DEFAULT_CONFIG, 1, 4, 16, bad)
 
 
 @pytest.mark.parametrize("bad", [4.5, True, np.int64(4)], ids=["float", "bool", "int64"])
@@ -171,14 +176,19 @@ def test_bernstein_monotonicities():
     assert bernstein_tail(2.0, 10, UNIT, 1.0) < bernstein_tail(1.0, 10, UNIT, 1.0)
     assert bernstein_tail(1.0, 20, UNIT, 1.0) < bernstein_tail(1.0, 10, UNIT, 1.0)
     assert bernstein_tail(1.0, 10, UNIT, 2.0) > bernstein_tail(1.0, 10, UNIT, 1.0)
-    with pytest.raises(ContractError):
-        bernstein_tail(0.0, 10, UNIT, 1.0)
+    for bad_theta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ContractError, match="^theta must be finite and positive"):
+            bernstein_tail(bad_theta, 16, UNIT, 1.0)
     with pytest.raises(ContractError):
         bernstein_tail(1.0, 10, UNIT, -1.0)
 
 
 def test_cond3_zero_theta_fails_both():
     assert cond3_holds(0.0, 100, 1.0, UNIT, 4) == (False, False)
+    # A theta or B it cannot compare is refused, not answered False.
+    for theta, B in ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -1.0)):
+        with pytest.raises(ContractError, match="^cond3 needs a finite theta >= 0 and B >= 0"):
+            cond3_holds(theta, 100, B, UNIT, 4)
 
 
 def test_cond3_first_is_strict_at_equality():
@@ -282,6 +292,9 @@ def test_pigeonhole_arithmetic():
     assert not pigeonhole_consistent(UNIT, math.sqrt(rhs / 2.0) * 1.001, 2, 3.0, 4, 10)
     with pytest.raises(ContractError):
         pigeonhole_consistent(UNIT, 1.0, 0, 3.0, 4, 10)
+    for B, big_m in ((math.nan, 3.0), (-1.0, 3.0), (1.0, math.nan), (1.0, -1.0)):
+        with pytest.raises(ContractError, match="^B and M must be >= 0"):
+            pigeonhole_consistent(UNIT, B, 2, big_m, 4, 10)
 
 
 # --- evaluate_all ------------------------------------------------------------

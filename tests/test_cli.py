@@ -74,6 +74,13 @@ def test_config_round_trip(tmp_path):
     parsed = parse_config(config.to_text())
     assert parsed == config
     assert parsed.grid.bound_config == DEFAULT_CONFIG  # repr floats survive
+    # Every accepted emit subset and parallelism, and an inner space.
+    choices = ("csv", "json", "svg")
+    for mask in range(1, 8):
+        emit = frozenset(c for i, c in enumerate(choices) if mask >> i & 1)
+        for parallelism in (1, "auto"):
+            config = dataclasses.replace(small_config(tmp_path / "a b"), emit=emit, parallelism=parallelism)
+            assert parse_config(config.to_text()) == config
 
 
 def test_readme_example_config_has_the_default_constants():
@@ -108,6 +115,8 @@ def test_config_strictness(tmp_path):
             parse_config(base.replace("parallelism = 1", f"parallelism = {bad}"))
     with pytest.raises(ConfigError, match="family:n:N"):
         parse_config(base.replace("gaussian:4:16", "gaussian-4-16"))
+    with pytest.raises(ConfigError, match="'gaussian:4:x': dimensions must be integers"):
+        parse_config(base.replace("gaussian:4:16", "gaussian:4:x"))
     with pytest.raises(ConfigError, match="line"):
         parse_config("[grid\ncells = gaussian:2:4\n")
     for blank in ("", "  "):
@@ -115,6 +124,23 @@ def test_config_strictness(tmp_path):
             parse_config(base.replace(f"output_dir = {tmp_path}", f"output_dir = {blank}"))
         with pytest.raises(ConfigError, match="output_dir"):
             small_config(blank)
+
+
+def test_run_config_checks_its_own_fields(tmp_path):
+    # A config built in code obeys the rules a parsed one does.
+    good = small_config(tmp_path)
+    bad_fields = [
+        {"emit": frozenset({"pdf"})},
+        {"emit": frozenset()},
+        {"emit": ["csv"]},
+        {"emit": None},
+        {"output_dir": " out"},
+        {"output_dir": "a\nb"},
+        {"parallelism": 0},
+    ]
+    for bad in bad_fields:
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be"):
+            dataclasses.replace(good, **bad)
 
 
 def test_empty_output_dir_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
@@ -168,6 +194,22 @@ def test_sample_lp_flag_and_token_agree(tmp_path):
     assert missing.returncode == 2
     assert "lp_ball requires the exponent p" in missing.stderr
     assert not (tmp_path / "m.npy").exists()
+
+
+def test_cli_seed_takes_the_integer_rule(tmp_path, capsys):
+    # --seed reads any int() base; the spec refuses a seed out of range, as
+    # it refuses a bad --n or --N, before any file is opened.
+    out = tmp_path / "m.npy"
+    spec = ["--family", "gaussian", "--n", "2", "--N", "4", "--seed"]
+    for argv in (["deviation", *spec, "-1"], ["sample", *spec, "-1", "--out", str(out)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: seed must be an unsigned 64-bit integer, got -1" in captured.err
+    assert not out.exists()
+    assert cli.main(["deviation", *spec, "0x7E57"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == operator_deviation(sample_ensemble(EnsembleSpec("gaussian", 2, 4, 0x7E57))).to_json_dict()
 
 
 def test_deviation_identity_oracle():
@@ -387,6 +429,21 @@ def test_fit_command_matches_library(small_run):
     assert doc == json.loads((small_run["dir"] / "scaling.json").read_text())
 
 
+def test_fit_refuses_a_bad_header_or_row_length(small_run, tmp_path):
+    header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "bad.csv"
+    short_row = rows[0].rsplit(",", 1)[0] + "\n"
+    cases = [
+        ("family,n,N\n" + "".join(rows), "unexpected results CSV header: ['family', 'n', 'N']"),
+        (header + short_row + "".join(rows[1:]), "results CSV row has 9 fields, expected 10"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        proc = run_cli(["fit", "--results", str(path)])
+        assert proc.returncode == 2
+        assert f"error: {message}" in proc.stderr
+
+
 def test_fit_refuses_trial_rows_out_of_order(small_run, tmp_path):
     # Each cell's rows must read trial 0, 1, 2, ... in order.  Five copies of
     # a row appended to a 10-trial run would otherwise fit a 15-trial cell.
@@ -416,6 +473,30 @@ def test_plot_structure(small_run, tmp_path):
     assert svg.count("beta=") == 3
     assert "fit slope" in svg and "reference slope 0.500" in svg
     assert svg.count("<path") == 2  # fitted line and envelope
+
+
+def test_plot_and_bounds_read_the_constants_of_a_config(tmp_path):
+    # A bundle run with twice C_main: plot --config redraws its plot.svg byte
+    # for byte, and bounds --config doubles the deviation envelope.
+    doubled = dataclasses.replace(DEFAULT_CONFIG, C_main=2.0 * DEFAULT_CONFIG.C_main)
+    config = small_config(tmp_path / "out")
+    config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, bound_config=doubled))
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(config.to_text())
+    assert cli.main(["experiment", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    plot = ["plot", "--results", str(out / "results.csv"), "--out", str(tmp_path / "p.svg")]
+    assert cli.main(plot + ["--config", str(out / "config.ini")]) == 0
+    assert (tmp_path / "p.svg").read_bytes() == (out / "plot.svg").read_bytes()
+    assert cli.main(plot) == 0
+    assert (tmp_path / "p.svg").read_bytes() != (out / "plot.svg").read_bytes()
+
+    def rhs(*extra):
+        proc = run_cli(["bounds", "--n", "16", "--N", "1024", *extra])
+        assert proc.returncode == 0, proc.stderr
+        return {r["name"]: r["value"] for r in json.loads(proc.stdout)["reports"]}["theorem1_rhs"]
+
+    assert rhs("--config", str(out / "config.ini")) == 2.0 * rhs()
 
 
 def test_plot_rejects_degenerate_input(tmp_path):
@@ -527,13 +608,16 @@ def test_non_finite_constants_exit_2(tmp_path, capsys):
         ("--theta", "inf", "theta"),
         ("--max-col-norm", "inf", "max_col_norm"),
         ("--max-col-norm", "-1", "max_col_norm"),
+        ("--theta", "-1", "theta"),
     ],
 )
 def test_bounds_refuses_non_finite_and_negative_inputs(capsys, option, value, name):
-    assert cli.main(["bounds", "--n", "8", "--N", "64", option, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {name} must be" in captured.err
+    # A tall shape, and a wide one that evaluates no Bernstein tail.
+    for n, N in (("8", "64"), ("64", "8")):
+        assert cli.main(["bounds", "--n", n, "--N", N, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be" in captured.err
 
 
 def test_json_output_refuses_non_finite_floats():
@@ -572,9 +656,10 @@ def test_exit_code_io_errors(tmp_path):
 
 
 def test_exit_code_argparse_errors():
-    proc = run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "4", "--seed", "-1",
+    proc = run_cli(["sample", "--family", "gaussian", "--n", "2", "--N", "4", "--seed", "x",
                     "--out", "x.npy"])
     assert proc.returncode == 2
+    assert "argument --seed: invalid" in proc.stderr
     assert run_cli(["unknown-command"]).returncode == 2
 
 

@@ -1,5 +1,5 @@
-"""The one JSON rule for result records: plain values, cell flattening, and
-the two records that adjust their own fields."""
+"""The one JSON rule for result records: plain values, cell flattening,
+omitted None fields, and the record that adds a field of its own."""
 
 import json
 from dataclasses import dataclass
@@ -14,6 +14,12 @@ from covcon.statistics import SparseNormProfile, SphereNet, TruncationSplit
 @dataclass(frozen=True)
 class _Inner(Record):
     value: float
+
+
+@dataclass(frozen=True)
+class _Optional(Record):
+    value: float
+    note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,12 @@ def test_nested_records_and_cell_flattening():
         "items": [{"value": 2.0}],
     }
     assert list(d) == ["family", "n", "N", "inner", "items"]
+
+
+def test_none_fields_are_omitted():
+    # No schema allows null, so a field whose value is None is left out.
+    assert _Optional(1.0).to_json_dict() == {"value": 1.0}
+    assert _Optional(1.0, "kept").to_json_dict() == {"value": 1.0, "note": "kept"}
 
 
 def test_sparse_norm_profile_omits_missing_certificates():

@@ -65,6 +65,8 @@ def test_sample_matrix_takes_array_likes():
         SampleMatrix(entries=[["a", "b"]])
     with pytest.raises(ContractError, match="non-finite"):
         SampleMatrix(entries=[[1.0, float("nan")]])
+    with pytest.raises(ContractError, match=r"entries shape \(2, 3\) does not match spec \(3, 2\)"):
+        SampleMatrix(entries=np.zeros((2, 3)), spec=EnsembleSpec("gaussian", 3, 2, 0))
 
 
 def test_log_concave_flag():
