@@ -112,8 +112,8 @@ class BoundReport(Record):
     probability_budget: float
 
     def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise ContractError(f"bound value must be >= 0, got {self.value!r}")
+        if not 0.0 <= self.value < math.inf:
+            raise ContractError(f"{self.name} must be finite and >= 0, got {self.value!r}")
         if not 0.0 <= self.probability_budget <= 1.0:
             raise ContractError(
                 f"probability budget must be clamped to [0, 1], got {self.probability_budget!r}"
@@ -157,13 +157,14 @@ def thmold_bound(cfg: BoundConfig, m: int, n: int, N: int, max_col_norm: float) 
 
 
 def bernstein_tail(theta: float, N: int, cfg: BoundConfig, B: float) -> float:
-    """exp(-theta^2 N / (2 (C1 psi^4 + B^2 theta/3))): tail of the truncated sum."""
+    """exp(-theta^2 N / (2 (C1 psi^4 + B^2 theta/3))): tail of the truncated sum;
+    0 where the denominator is 0 (psi = B = 0), as the exponent is -inf there."""
     if not 0.0 < theta < math.inf:
         raise ContractError(f"theta must be finite and positive, got {theta!r}")
     if not B >= 0.0:
         raise ContractError(f"B must be >= 0, got {B!r}")
     denom = 2.0 * (cfg.C1 * cfg.psi**4 + B * B * theta / 3.0)
-    return math.exp(-theta * theta * N / denom)
+    return math.exp(-theta * theta * N / denom) if denom > 0.0 else 0.0
 
 
 def cond3_holds(theta: float, N: int, B: float, cfg: BoundConfig, n: int) -> tuple[bool, bool]:
@@ -227,9 +228,9 @@ def pigeonhole_consistent(cfg: BoundConfig, B: float, m: int, big_m: float, n: i
 
 
 #: Constants frozen from the seeded calibration run
-#: experiments.calibrate_constants(master_seed=0xCA11B8A7E, trials=200);
-#: rerunning that function reproduces these values bit-for-bit (see its
-#: docstring for the fitting procedure).  psi and K are placeholders (1.0):
+#: experiments.calibrate_constants(), under CALIBRATION_MASTER_SEED = 0xCA11B8A7E
+#: with 200 trials per cell; rerunning it reproduces these values bit-for-bit
+#: (see its docstring for the fitting procedure).  psi and K are placeholders (1.0):
 #: real runs substitute measured values via BoundConfig.with_hypothesis.
 DEFAULT_CONFIG = BoundConfig(
     psi=1.0,
@@ -299,8 +300,9 @@ def evaluate_all(
     if B is not None:
         add("choose_B", {"n": n, "N": N}, B, 0.0)
         add("s3_envelope", {"B": B}, s3_envelope(cfg, B), 0.0)
-        tail = bernstein_tail(theta, N, cfg, B)
-        add("bernstein_tail", {"theta": theta, "N": N, "B": B}, tail, min(1.0, tail))
+        if theta > 0.0:  # at theta = 0 (psi = 0) the exponent is 0/0
+            tail = bernstein_tail(theta, N, cfg, B)
+            add("bernstein_tail", {"theta": theta, "N": N, "B": B}, tail, min(1.0, tail))
         c1, c2 = cond3_holds(theta, N, B, cfg, n)
         add("cond3_first", {"theta": theta, "N": N, "B": B, "n": n}, float(c1), 0.0)
         add("cond3_second", {"theta": theta, "N": N, "B": B, "n": n}, float(c2), 0.0)

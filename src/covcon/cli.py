@@ -333,13 +333,13 @@ def render_plot_svg(results: list[CellResult], fit: ScalingFit, cfg: BoundConfig
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Everything one experiment run emits, as ready-to-write text."""
+    """Every file one experiment run can emit, as text; write_bundle picks by config.emit."""
 
     config_text: str
     csv_text: str
     scaling_text: str
     bounds_check_text: str
-    svg_text: str | None
+    svg_text: str
 
 
 def run_bundle(config: RunConfig, workers: int | None = None) -> ResultBundle:
@@ -348,18 +348,17 @@ def run_bundle(config: RunConfig, workers: int | None = None) -> ResultBundle:
     results = experiments.run_grid(config.grid, workers=workers)
     fit = experiments.scaling_fit(results)
     cfg = config.grid.bound_config
-    svg = render_plot_svg(results, fit, cfg) if "svg" in config.emit else None
     return ResultBundle(
         config_text=config.to_text(),
         csv_text=results_csv_text(results),
         scaling_text=_dump_json(fit.to_json_dict()),
         bounds_check_text=bounds_check_json(results, cfg),
-        svg_text=svg,
+        svg_text=render_plot_svg(results, fit, cfg),
     )
 
 
 def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
-    """Write the bundle into output_dir; returns the paths written."""
+    """Write config.ini and the files config.emit names; returns the paths written."""
     os.makedirs(config.output_dir, exist_ok=True)
     written = []
 
@@ -375,7 +374,7 @@ def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
     if "json" in config.emit:
         put("scaling.json", bundle.scaling_text)
         put("bounds_check.json", bundle.bounds_check_text)
-    if bundle.svg_text is not None:
+    if "svg" in config.emit:
         put("plot.svg", bundle.svg_text)
     return written
 
@@ -432,9 +431,12 @@ def cmd_net(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_bound_config(args)
-    reports = bounds.evaluate_all(
-        cfg, args.n, args.N, m=args.m, B=args.B, theta=args.theta, max_col_norm=args.max_col_norm
-    )
+    try:
+        reports = bounds.evaluate_all(
+            cfg, args.n, args.N, m=args.m, B=args.B, theta=args.theta, max_col_norm=args.max_col_norm
+        )
+    except OverflowError:  # a power of psi or psi + K
+        raise ContractError(f"an envelope formula overflows float64 at psi = {cfg.psi!r}, K = {cfg.K!r}") from None
     doc = {"config": cfg.to_json_dict(), "reports": [r.to_json_dict() for r in reports]}
     sys.stdout.write(_dump_json(doc))
     return 0
@@ -536,7 +538,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ContractError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

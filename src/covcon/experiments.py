@@ -373,12 +373,8 @@ _CAL_WIDE = (("gaussian", 64, 16), ("gaussian", 96, 24), ("gaussian", 128, 32))
 _CAL_FAMILIES = ("gaussian", "euclidean_ball", "exponential_product")
 
 
-def calibrate_constants(
-    master_seed: int = CALIBRATION_MASTER_SEED,
-    trials: int = 200,
-    workers: int = 1,
-) -> tuple[BoundConfig, dict]:
-    """Fit the absolute envelope constants on the calibration grid.
+def calibrate_constants(trials: int = 200) -> tuple[BoundConfig, dict]:
+    """Fit the absolute envelope constants on the calibration grid, under CALIBRATION_MASTER_SEED.
 
     Each requirement is a measurement divided by its `bounds` envelope at
     unit absolute constants (C_main = c_prob = C1 = C2 = C3 = C_old = t = 1),
@@ -394,8 +390,8 @@ def calibrate_constants(
                few dozen trials per cell.
       C1       1.1 x max over families and probe directions of the fourth
                moment of the projection divided by psi_hat^4.
-      C2       1.1 x max over families and truncation levels of the analytic
-               expected excess over s3_envelope.
+      C2       1.1 x max over families and truncation levels of the closed-form
+               expected excess along e_1, `EnsembleSpec.tail_excess`, over s3_envelope.
       C_old    max of C2, 0.25, and 1.1 x the sparse-norm requirement
                (A_m - 6 max|X_i|) / thmold_bound(max|X_i| = 0) over families
                and support sizes.
@@ -409,8 +405,8 @@ def calibrate_constants(
     """
     base = bounds.DEFAULT_CONFIG
     unit = replace(base, C_main=1.0, c_prob=1.0, C1=1.0, C2=1.0, C3=1.0, C_old=1.0, t=1.0)
-    tall = run_grid(ExperimentGrid(_CAL_TALL, trials, master_seed, base), workers=workers)
-    wide = run_grid(ExperimentGrid(_CAL_WIDE, trials, master_seed, base), workers=workers)
+    tall = run_grid(ExperimentGrid(_CAL_TALL, trials, CALIBRATION_MASTER_SEED, base))
+    wide = run_grid(ExperimentGrid(_CAL_WIDE, trials, CALIBRATION_MASTER_SEED, base))
 
     tall_req = 0.0
     for res in tall:
@@ -437,19 +433,18 @@ def calibrate_constants(
     thmold_req = 0.0
     B_grid = [0.25 * k for k in range(17)]
     for fi, family in enumerate(_CAL_FAMILIES):
-        seed = derive_seed(master_seed, 1000 + fi, 0)
-        A = sample_ensemble(EnsembleSpec(family=family, n=16, N=4096, seed=seed))
+        seed = derive_seed(CALIBRATION_MASTER_SEED, 1000 + fi, 0)
+        spec = EnsembleSpec(family=family, n=16, N=4096, seed=seed)
+        A = sample_ensemble(spec)
         psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS)
         probes = np.vstack([np.eye(16), statistics.probe_directions(16, 8, seed)])
         proj = probes @ A.entries
         moment_req = max(moment_req, float((proj**4).mean(axis=1).max()) / psi_hat**4)
-        e1 = np.zeros(16)
-        e1[0] = 1.0
+        cfg_hat = unit.with_hypothesis(psi_hat, 1.0)
         for B in B_grid:
-            s3 = statistics.truncation_split(A, e1, B, psi=psi_hat).s3
-            excess_req = max(excess_req, s3 / bounds.s3_envelope(unit.with_hypothesis(psi_hat, 1.0), B))
+            excess_req = max(excess_req, spec.tail_excess(np.eye(16)[0], B) / bounds.s3_envelope(cfg_hat, B))
         for n_s, N_s in ((8, 64), (16, 128)):
-            seed_s = derive_seed(master_seed, 2000 + fi, n_s)
+            seed_s = derive_seed(CALIBRATION_MASTER_SEED, 2000 + fi, n_s)
             A_s = sample_ensemble(EnsembleSpec(family=family, n=n_s, N=N_s, seed=seed_s))
             cfg_s = unit.with_hypothesis(statistics.psi1_ensemble(A_s, PSI_PROBE_DIRECTIONS), 1.0)
             profile = statistics.sparse_norm_profile(A_s, mode="greedy")
@@ -482,6 +477,6 @@ def calibrate_constants(
         "excess_requirement": excess_req,
         "thmold_requirement": thmold_req,
         "trials": trials,
-        "master_seed": master_seed,
+        "master_seed": CALIBRATION_MASTER_SEED,
     }
     return cfg, details

@@ -1,11 +1,11 @@
-"""Hypothesis-side estimators: psi_1 norms, boundedness, sparse operator
-norms, sphere nets, and the truncation decomposition of the deviation.
+"""Hypothesis-side estimators: psi_1 norms, sparse operator norms, sphere
+nets, and the truncation decomposition of the deviation.
 
-These measure every quantity the concentration bounds take as hypotheses
-(the sub-exponential constant psi, the column-norm constant K, the sparse
-norms A_m) and reproduce the internal decomposition S(x) <= S1 + S2 + S3
-used to control the deviation, so each analytic step can be checked on
-sampled data.
+These measure the hypotheses of the concentration bounds (the
+sub-exponential constant psi, the sparse norms A_m; the column-norm ratio
+behind K is `linalg.boundedness_ratio`) and reproduce the internal
+decomposition S(x) <= S1 + S2 + S3 used to control the deviation, so each
+analytic step can be checked on sampled data.
 
 psi_1 (sub-exponential Orlicz) norm of a scalar Y:
 
@@ -45,7 +45,7 @@ from .errors import (
     ResourceError,
     require_int,
 )
-from .linalg import boundedness_ratio, gram_covariance, matrix_norm
+from .linalg import gram_covariance, matrix_norm
 from .records import Record
 # Unused here, but perfbench/tracing.py wraps covcon.statistics.sample_ensemble.
 from .sampler import SampleMatrix, sample_ensemble
@@ -57,7 +57,6 @@ __all__ = [
     "SphereNet",
     "psi1_estimate",
     "psi1_ensemble",
-    "boundedness_check",
     "sparse_norm",
     "sparse_norm_profile",
     "truncation_split",
@@ -263,14 +262,6 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     proj = probes @ A.entries[:, :PSI_SAMPLE_COLUMNS]
     values, _, _ = _psi1_rows(proj)
     return float(values.max())
-
-
-def boundedness_check(A: SampleMatrix, K: float) -> tuple[float, bool]:
-    """The max-column-norm ratio and whether it is within the constant K."""
-    if not K >= 1.0:
-        raise ContractError(f"K must be >= 1, got {K!r}")
-    ratio = float(boundedness_ratio(A.n, A.N, A.max_column_norm()))
-    return ratio, ratio <= K
 
 
 # --- sparse operator norms ---------------------------------------------------
@@ -514,12 +505,12 @@ def truncation_split(
     e_b, trunc_sq, s2 = _truncated_moments(x @ A.entries, B)
     if expectation == "analytic_isotropic":
         if A.spec is None:
-            raise AnalyticUnavailableError("analytic expectations need the generating spec; use expectation='fresh_sample'")
+            raise AnalyticUnavailableError("both expectation modes need the generating spec; this matrix has none")
         s3 = float(A.spec.tail_excess(x, B)) if math.isfinite(B * B) else 0.0
         expected_trunc_sq = 1.0 - s3
     else:
         if A.spec is None:
-            raise ContractError("fresh_sample expectations need the generating spec")
+            raise ContractError("both expectation modes need the generating spec; this matrix has none")
         require_int("fresh_T", fresh_T)
         if fresh_T > sampler.MAX_ELEMENTS:
             raise ResourceError(f"fresh_T = {fresh_T} exceeds the sample budget of {sampler.MAX_ELEMENTS} entries")

@@ -172,6 +172,13 @@ def test_bernstein_exact_value():
     )
 
 
+def test_bernstein_zero_denominator_is_zero():
+    # psi = B = 0 leaves C1 psi^4 + B^2 theta/3 = 0: the exponent is -inf.
+    flat = UNIT.with_hypothesis(0.0, 1.0)
+    assert bernstein_tail(0.5, 16, flat, 0.0) == 0.0
+    assert bernstein_tail(0.5, 16, flat, 1.0) == math.exp(-0.25 * 16 / (2.0 * 0.5 / 3.0))
+
+
 def test_bernstein_monotonicities():
     assert bernstein_tail(2.0, 10, UNIT, 1.0) < bernstein_tail(1.0, 10, UNIT, 1.0)
     assert bernstein_tail(1.0, 20, UNIT, 1.0) < bernstein_tail(1.0, 10, UNIT, 1.0)

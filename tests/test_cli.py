@@ -411,6 +411,10 @@ def test_bundle_respects_emit_subset(tmp_path):
     config_path.write_text(config.to_text())
     assert run_cli(["experiment", "--config", str(config_path)]).returncode == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["config.ini", "results.csv"]
+    # The bundle holds every file; only write_bundle reads emit.
+    every = dataclasses.replace(config, emit=frozenset({"csv", "json", "svg"}))
+    assert cli.run_bundle(config).svg_text == cli.run_bundle(every).svg_text
+    assert not (out_dir / "plot.svg").exists()
 
 
 def test_read_results_round_trips(small_run):
@@ -618,6 +622,28 @@ def test_bounds_refuses_non_finite_and_negative_inputs(capsys, option, value, na
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {name} must be" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        (["--psi", "0"], 0, None),
+        (["--psi", "0", "--theta", "0.5"], 0, None),
+        (["--psi", "1e80"], 2, "error: an envelope formula overflows float64 at psi = 1e+80, K = 1.0"),
+        (["--psi", "1e200"], 2, "error: an envelope formula overflows float64 at psi = 1e+200, K = 1.0"),
+        (["--K", "1e154"], 2, "error: remark2_dev must be finite and >= 0, got inf"),
+    ],
+    ids=["psi_0", "psi_0_theta", "psi_1e80", "psi_1e200", "K_1e154"],
+)
+def test_bounds_at_extreme_constants_exits_cleanly(capsys, extra, code, message):
+    assert cli.main(["bounds", "--n", "4", "--N", "16", *extra]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        names = [r["name"] for r in json.loads(captured.out)["reports"]]
+        # At psi = 0 the default theta is 0, where the tail's exponent is 0/0.
+        assert ("bernstein_tail" in names) == ("--theta" in extra)
+    else:
+        assert captured.out == "" and captured.err.strip() == message
 
 
 def test_json_output_refuses_non_finite_floats():

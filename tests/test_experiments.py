@@ -394,3 +394,14 @@ def test_calibration_fits_the_bounds_envelopes(monkeypatch):
     monkeypatch.setattr(bounds, "remark2_bounds", lambda *args: tuple(2.0 * v for v in remark2(*args)))
     doubled, _ = calibrate_constants(trials=5)
     assert doubled.C_main == cfg.C_main / 2.0
+
+
+def test_calibration_reads_the_expected_excess_from_the_spec(monkeypatch):
+    # C2's requirement is the closed-form tail of each family's row, so the
+    # calibration draws no sample-backed truncation split.
+    calls = []
+    split = statistics.truncation_split
+    monkeypatch.setattr(statistics, "truncation_split", lambda *args, **kw: calls.append(args) or split(*args, **kw))
+    _, details = calibrate_constants(trials=5)
+    assert calls == []
+    assert details["master_seed"] == CALIBRATION_MASTER_SEED

@@ -25,7 +25,6 @@ from covcon.errors import (
 from covcon.linalg import matrix_norm, operator_deviation
 from covcon.sampler import EnsembleSpec, SampleMatrix, sample_ensemble
 from covcon.statistics import (
-    boundedness_check,
     build_net,
     direction_deviation,
     net_covering_radius_probe,
@@ -207,16 +206,6 @@ def test_probe_directions_unit_and_deterministic():
     assert np.array_equal(p, probe_directions(5, 40, 123))
     assert not np.array_equal(p, probe_directions(5, 40, 124))
     assert probe_directions(5, 0, 1).shape == (0, 5)
-
-
-def test_boundedness_check():
-    A = sample_ensemble(EnsembleSpec("gaussian", 4, 64, 2))
-    ratio, ok = boundedness_check(A, 1e6)
-    assert ok and ratio == pytest.approx(A.max_column_norm() / 2.0 / (16.0**0.25))
-    _, tight = boundedness_check(A, 1.0)
-    assert tight == (ratio <= 1.0)
-    with pytest.raises(ContractError):
-        boundedness_check(A, 0.5)
 
 
 # --- sparse operator norms ---------------------------------------------------
@@ -676,10 +665,12 @@ def test_analytic_unavailable_routes():
     rad = sample_ensemble(EnsembleSpec("rademacher_control", 2, 20, 37))
     with pytest.raises(AnalyticUnavailableError):
         truncation_split(rad, np.array([1.0, 0.0]), 1.0)
+    # A matrix with no spec has neither mode, and neither refusal points to the other.
     bare = SampleMatrix(entries=np.array([[1.0, -1.0]]), spec=None)
-    with pytest.raises(AnalyticUnavailableError):
+    both = "^both expectation modes need the generating spec; this matrix has none$"
+    with pytest.raises(AnalyticUnavailableError, match=both):
         truncation_split(bare, np.array([1.0]), 1.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=both):
         truncation_split(bare, np.array([1.0]), 1.0, expectation="fresh_sample")
 
 
