@@ -69,6 +69,9 @@ class BoundConfig(Record):
     C3      constant of the theta choice (large enough to satisfy cond3)
     C_old   constant of the sparse-norm envelope (>= C2)
     t       sparse-norm envelope parameter (>= 1; budget exp(-t sqrt(n)))
+
+    A psi or K for which psi**4 or (psi + K)**2, the largest powers any
+    envelope formula takes, overflows float64 is refused.
     """
 
     psi: float
@@ -96,6 +99,10 @@ class BoundConfig(Record):
             raise ContractError(f"C_old = {self.C_old!r} must be >= C2 = {self.C2!r}")
         if not self.t >= 1.0:
             raise ContractError(f"t must be >= 1, got {self.t!r}")
+        try:
+            self.psi**4, (self.psi + self.K) ** 2
+        except OverflowError:
+            raise ContractError(f"an envelope formula overflows float64 at psi = {self.psi!r}, K = {self.K!r}") from None
 
     def with_hypothesis(self, psi: float, K: float) -> "BoundConfig":
         """Same absolute constants, measured hypothesis constants (K < 1 is raised to 1)."""
@@ -257,15 +264,14 @@ def evaluate_all(
     """Evaluate every applicable formula; used by the CLI `bounds` command.
 
     B and theta default to their chosen values choose_B / choose_theta when
-    the regime admits them; m defaults to min(n, N).  Non-finite B, theta or
-    max_col_norm, a negative max_col_norm and a theta <= 0 are refused up front.
+    the regime admits them; m defaults to min(n, N).  A non-finite B or
+    theta and a theta <= 0 are refused up front; thmold_bound refuses a
+    non-finite or negative max_col_norm.
     """
     _check_shape(n, N)
-    for name, value in (("B", B), ("theta", theta), ("max_col_norm", max_col_norm)):
+    for name, value in (("B", B), ("theta", theta)):
         if value is not None and not math.isfinite(value):
             raise ContractError(f"{name} must be finite, got {value!r}")
-    if not max_col_norm >= 0.0:
-        raise ContractError(f"max_col_norm must be >= 0, got {max_col_norm!r}")
     if theta is not None and not theta > 0.0:
         raise ContractError(f"theta must be positive, got {theta!r}")
     budget_main = main_probability_budget(cfg, n)

@@ -6,8 +6,9 @@ echo) is a pure function of the run configuration — floats are rendered with
 repr, JSON keys are sorted, SVG coordinates use a fixed format — so reruns
 and different worker counts produce identical files.
 
-Exit codes: 0 success, 2 user/validation error, 3 I/O error, 4 numerical
-failure.
+Each subcommand handler returns its JSON document, or None when it writes
+files; main alone prints the document.  Exit codes: 0 success, 2
+user/validation error, 3 I/O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -189,6 +190,11 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
 def results_csv_text(results: list[CellResult]) -> str:
     """One row per trial in canonical (cell, trial) order; floats via repr."""
     lines = [CSV_HEADER]
@@ -202,8 +208,8 @@ def results_csv_text(results: list[CellResult]) -> str:
 
 def read_results_csv(path) -> list[CellResult]:
     """Rebuild per-cell results from a results CSV (repr round-trips floats
-    exactly); each cell's rows must read trial 0, 1, 2, ... in order.  psi_hat
-    is not recoverable from rows and is recorded as 0."""
+    exactly); each cell's rows must read trial 0, 1, 2, ... in order and every
+    float be finite.  psi_hat is not recoverable from rows and is recorded as 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -218,6 +224,9 @@ def read_results_csv(path) -> list[CellResult]:
             if row[3] != str(len(reports)):
                 raise ContractError(f"results CSV cell ({family}, {n}, {N}): trial {row[3]!r}, expected {len(reports)}")
             floats = {name: float(v) for name, v in zip(_CSV_FLOATS, row[5:])}
+            for name, value in floats.items():
+                if not math.isfinite(value):  # covcon never writes one
+                    raise ContractError(f"results CSV line {reader.line_num}, column {name}: {value!r} is not finite")
             reports.append(DeviationReport(n=n, N=N, seed=int(row[4]), **floats))
     results = []
     for cell, reports in grouped.items():
@@ -364,8 +373,7 @@ def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
 
     def put(name: str, text: str) -> None:
         path = os.path.join(config.output_dir, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        _write_text(path, text)
         written.append(path)
 
     put("config.ini", bundle.config_text)
@@ -382,11 +390,13 @@ def write_bundle(bundle: ResultBundle, config: RunConfig) -> list[str]:
 # --- subcommands -------------------------------------------------------------
 
 
+def _read_config(path) -> RunConfig:
+    with open(path) as fh:
+        return parse_config(fh.read())
+
+
 def _load_bound_config(args) -> BoundConfig:
-    cfg = bounds.DEFAULT_CONFIG
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read()).grid.bound_config
+    cfg = _read_config(args.config).grid.bound_config if args.config else bounds.DEFAULT_CONFIG
     psi = args.psi if args.psi is not None else cfg.psi
     K = args.K if args.K is not None else cfg.K
     return cfg.with_hypothesis(psi, K)
@@ -398,74 +408,48 @@ def _sample(args) -> SampleMatrix:
     return sample_ensemble(EnsembleSpec(family=family, n=args.n, N=args.N, seed=args.seed, p=p))
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     A = _sample(args)  # before the open, so a refused spec leaves no file
     with open(args.out, "wb") as fh:
         np.save(fh, A.entries)
-    return 0
 
 
-def cmd_deviation(args) -> int:
-    sys.stdout.write(_dump_json(operator_deviation(_sample(args)).to_json_dict()))
-    return 0
+def cmd_deviation(args) -> dict:
+    return operator_deviation(_sample(args)).to_json_dict()
 
 
-def cmd_psi1(args) -> int:
+def cmd_psi1(args) -> dict:
     value = statistics.psi1_ensemble(_sample(args), args.directions)
-    doc = {"psi1": value, "directions": args.directions, "n": args.n, "N": args.N, "seed": args.seed}
-    sys.stdout.write(_dump_json(doc))
-    return 0
+    return {"psi1": value, "directions": args.directions, "n": args.n, "N": args.N, "seed": args.seed}
 
 
-def cmd_amnorm(args) -> int:
-    profile = statistics.sparse_norm_profile(_sample(args), mode=args.mode)
-    sys.stdout.write(_dump_json(profile.to_json_dict()))
-    return 0
+def cmd_amnorm(args) -> dict:
+    return statistics.sparse_norm_profile(_sample(args), mode=args.mode).to_json_dict()
 
 
-def cmd_net(args) -> int:
-    net = statistics.build_net(args.n, args.epsilon)
-    sys.stdout.write(_dump_json(net.to_json_dict()))
-    return 0
+def cmd_net(args) -> dict:
+    return statistics.build_net(args.n, args.epsilon).to_json_dict()
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> dict:
     cfg = _load_bound_config(args)
-    try:
-        reports = bounds.evaluate_all(
-            cfg, args.n, args.N, m=args.m, B=args.B, theta=args.theta, max_col_norm=args.max_col_norm
-        )
-    except OverflowError:  # a power of psi or psi + K
-        raise ContractError(f"an envelope formula overflows float64 at psi = {cfg.psi!r}, K = {cfg.K!r}") from None
-    doc = {"config": cfg.to_json_dict(), "reports": [r.to_json_dict() for r in reports]}
-    sys.stdout.write(_dump_json(doc))
-    return 0
+    reports = bounds.evaluate_all(cfg, args.n, args.N, m=args.m, B=args.B, theta=args.theta, max_col_norm=args.max_col_norm)
+    return {"config": cfg.to_json_dict(), "reports": [r.to_json_dict() for r in reports]}
 
 
-def cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        config = parse_config(fh.read())
-    bundle = run_bundle(config)
-    written = write_bundle(bundle, config)
-    for path in written:
+def cmd_experiment(args) -> None:
+    config = _read_config(args.config)
+    for path in write_bundle(run_bundle(config), config):
         sys.stderr.write(f"wrote {path}\n")
-    return 0
 
 
-def cmd_fit(args) -> int:
-    fit = experiments.scaling_fit(read_results_csv(args.results))
-    sys.stdout.write(_dump_json(fit.to_json_dict()))
-    return 0
+def cmd_fit(args) -> dict:
+    return experiments.scaling_fit(read_results_csv(args.results)).to_json_dict()
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     results = read_results_csv(args.results)
-    fit = experiments.scaling_fit(results)
-    cfg = _load_bound_config(args)
-    svg = render_plot_svg(results, fit, cfg)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(svg)
-    return 0
+    _write_text(args.out, render_plot_svg(results, experiments.scaling_fit(results), _load_bound_config(args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,7 +518,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        doc = args.handler(args)
+        if doc is not None:
+            sys.stdout.write(_dump_json(doc))
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -544,6 +530,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entry() -> None:

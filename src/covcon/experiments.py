@@ -30,7 +30,7 @@ from .bounds import BoundConfig
 from .errors import U64_MAX, ContractError, NumericalError, require_int
 from .linalg import DeviationReport, operator_deviation
 from .records import Record
-from .sampler import EnsembleSpec, parse_family_token, sample_ensemble
+from .sampler import EnsembleSpec, parse_family_token, require_budget, sample_ensemble
 
 __all__ = [
     "CALIBRATION_MASTER_SEED",
@@ -83,8 +83,8 @@ def derive_seed(master: int, cell_index: int, trial_index: int) -> int:
 class ExperimentGrid:
     """A list of (family_token, n, N) cells sharing one trial count, master
     seed, and bound configuration.  Each cell is validated once, as the
-    EnsembleSpec its trials draw from, and no cell may repeat: a results CSV
-    is keyed by (family, n, N)."""
+    EnsembleSpec its trials draw from, within the sample budget, and no cell
+    may repeat: a results CSV is keyed by (family, n, N)."""
 
     cells: tuple[tuple[str, int, int], ...]
     trials_per_cell: int
@@ -98,7 +98,8 @@ class ExperimentGrid:
         require_int("trials_per_cell", self.trials_per_cell)
         require_int("master_seed", self.master_seed, 0, U64_MAX)
         for ci, (token, n, N) in enumerate(self.cells):
-            self.spec(ci, 0)
+            # Streamed trials (ROADMAP item 1) lift the sample budget and must delete this check.
+            require_budget(self.spec(ci, 0), f"cell ({token}, {n}, {N}): ")
             if self.cells.index((token, n, N)) < ci:
                 raise ContractError(f"cell ({token}, {n}, {N}): repeats an earlier cell")
 

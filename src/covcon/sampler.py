@@ -57,6 +57,7 @@ __all__ = [
     "SampleMatrix",
     "isotropic_scale",
     "column_blocks",
+    "require_budget",
     "sample_ensemble",
     "parse_family_token",
 ]
@@ -298,10 +299,15 @@ def column_blocks(spec: EnsembleSpec, tag: int) -> Iterator[np.ndarray]:
         yield _columns(spec, range(j, min(j + step, spec.N)), tag)
 
 
+def require_budget(spec: EnsembleSpec, where: str = "") -> None:
+    """Refuse a spec whose matrix holds more than MAX_ELEMENTS entries; `where` prefixes the message."""
+    if spec.n * spec.N > MAX_ELEMENTS:
+        raise ResourceError(f"{where}n*N = {spec.n * spec.N} exceeds the sample budget of {MAX_ELEMENTS} entries")
+
+
 def sample_ensemble(spec: EnsembleSpec) -> SampleMatrix:
     """The n x N matrix of `spec`, bit-identical across reruns, written block by block."""
-    if spec.n * spec.N > MAX_ELEMENTS:
-        raise ResourceError(f"n*N = {spec.n * spec.N} exceeds the sample budget of {MAX_ELEMENTS} entries")
+    require_budget(spec)
     entries, j = np.empty((spec.n, spec.N)), 0
     for block in column_blocks(spec, rng.TAG_COLUMNS):
         entries[:, j : j + block.shape[1]] = block

@@ -1,6 +1,7 @@
 """Closed-form envelopes: exact arithmetic, monotonicity, and regime guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ def test_config_rejects_non_finite_constants():
     # The K clamp must not swallow NaN (max(1.0, nan) is 1.0).
     with pytest.raises(ContractError, match="^K must be finite, got nan"):
         UNIT.with_hypothesis(1.0, math.nan)
+
+
+@pytest.mark.parametrize("psi, K", [(1e80, 1.0), (1e200, 1.0), (1.0, 1e160)])
+def test_config_refuses_constants_whose_envelopes_overflow(psi, K):
+    # psi**4 and (psi + K)**2 are the largest powers any envelope takes.
+    message = "^" + re.escape(f"an envelope formula overflows float64 at psi = {psi!r}, K = {K!r}") + "$"
+    with pytest.raises(ContractError, match=message):
+        BoundConfig(**{**UNIT.to_json_dict(), "psi": psi, "K": K})
+    with pytest.raises(ContractError, match=message):
+        UNIT.with_hypothesis(psi, K)
+    # Just inside both powers: accepted.
+    assert UNIT.with_hypothesis(1e77, 1.0).psi == 1e77
+    assert UNIT.with_hypothesis(1.0, 1e154).K == 1e154
 
 
 def test_config_round_trip_and_hypothesis():

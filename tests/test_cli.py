@@ -510,6 +510,38 @@ def test_plot_rejects_degenerate_input(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "extra", [["--psi", "1e200"], ["--K", "1e160"], ["--psi", "1e80"]], ids=["psi_1e200", "K_1e160", "psi_1e80"]
+)
+def test_plot_refuses_constants_whose_envelopes_overflow(small_run, tmp_path, capsys, extra):
+    out = tmp_path / "p.svg"
+    argv = ["plot", "--results", str(small_run["dir"] / "results.csv"), "--out", str(out), *extra]
+    assert cli.main(argv) == 2
+    psi, K = (1.0, float(extra[1])) if extra[0] == "--K" else (float(extra[1]), 1.0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an envelope formula overflows float64 at psi = {psi!r}, K = {K!r}\n"
+    assert not out.exists()
+
+
+def test_fit_and_plot_refuse_a_non_finite_csv_value(small_run, tmp_path, capsys):
+    # covcon never writes a non-finite value, so a results CSV holding one
+    # was edited; line 5 is the fourth data row.
+    header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
+    fields = rows[3].split(",")
+    fields[CSV_HEADER.split(",").index("deviation")] = "inf"
+    rows[3] = ",".join(fields)
+    path, out = tmp_path / "inf.csv", tmp_path / "p.svg"
+    path.write_text(header + "".join(rows))
+    message = "results CSV line 5, column deviation: inf is not finite"
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        read_results_csv(path)
+    for argv in (["fit", "--results", str(path)], ["plot", "--results", str(path), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_render_plot_svg_is_pure(small_run):
     results = read_results_csv(small_run["dir"] / "results.csv")
     fit = experiments.scaling_fit(results)
@@ -672,6 +704,60 @@ def test_unfittable_grid_is_refused_at_parse(tmp_path, capsys):
     assert cli.main(["experiment", "--config", str(config)]) == 2
     assert "distinct n/N ratios" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_experiment_refuses_overflowing_constants_before_any_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(experiments, "_trial_report", lambda *job: trials.append(job))
+    config = tmp_path / "huge_psi.ini"
+    config.write_text(small_config(tmp_path / "out").to_text().replace("psi = 1.0\n", "psi = 1e200\n"))
+    assert cli.main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: an envelope formula overflows float64 at psi = 1e+200, K = 1.0\n"
+    assert trials == [] and not (tmp_path / "out").exists()
+
+
+def test_experiment_refuses_an_over_budget_cell_before_any_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(experiments, "_trial_report", lambda *job: trials.append(job))
+    config = tmp_path / "huge_cell.ini"
+    config.write_text(small_config(tmp_path / "out").to_text().replace("gaussian:4:256", "gaussian:4:256, gaussian:64:1048576"))
+    assert cli.main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cell (gaussian, 64, 1048576): n*N = 67108864 exceeds the sample budget of 33554432 entries\n"
+    )
+    assert trials == [] and not (tmp_path / "out").exists()
+
+
+def test_main_alone_prints_one_document_per_json_command(small_run, tmp_path, capsys):
+    # All nine subcommands, in process: a JSON command's stdout is exactly one
+    # document, and a command that writes files prints nothing to stdout.
+    spec = ["--family", "gaussian", "--n", "4", "--N", "16", "--seed", "3"]
+    results = str(small_run["dir"] / "results.csv")
+    config = tmp_path / "run.ini"
+    config.write_text(small_config(tmp_path / "out").to_text())
+    json_commands = [
+        ["deviation", *spec],
+        ["psi1", *spec],
+        ["amnorm", *spec],
+        ["net", "--n", "3", "--epsilon", "0.5"],
+        ["bounds", "--n", "4", "--N", "16"],
+        ["fit", "--results", results],
+    ]
+    file_commands = [
+        ["sample", *spec, "--out", str(tmp_path / "a.npy")],
+        ["experiment", "--config", str(config)],
+        ["plot", "--results", results, "--out", str(tmp_path / "p.svg")],
+    ]
+    assert len({argv[0] for argv in json_commands + file_commands}) == 9
+    for argv in json_commands:
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == cli._dump_json(json.loads(out))
+    for argv in file_commands:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == ""
+    assert (tmp_path / "a.npy").is_file() and (tmp_path / "out" / "results.csv").is_file()
+    assert (tmp_path / "p.svg").is_file()
 
 
 def test_exit_code_io_errors(tmp_path):

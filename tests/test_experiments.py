@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from covcon import bounds, experiments, rng, statistics
+from covcon import bounds, experiments, rng, sampler, statistics
 from covcon.bounds import DEFAULT_CONFIG, BoundConfig, main_probability_budget, theorem1_rhs
 from covcon.errors import ContractError, NumericalError, RegimeError, ResourceError
 from covcon.experiments import (
@@ -149,6 +149,18 @@ def test_grid_validates_cells_as_ensemble_specs(cell, reason):
     with pytest.raises(ContractError) as info:
         _grid([("gaussian", 4, 16), cell])
     assert str(info.value).startswith(f"cell ({cell[0]}, {cell[1]}, {cell[2]}): {reason}")
+
+
+def test_grid_refuses_an_over_budget_cell_when_built(monkeypatch):
+    # The 64 x 2^20 cell is refused before any trial of the cells before it
+    # runs, as the ResourceError sample_ensemble would raise, naming the cell.
+    cells = (("gaussian", 16, 256), ("gaussian", 16, 1024), ("gaussian", 64, 1 << 20))
+    message = r"^cell \(gaussian, 64, 1048576\): n\*N = 67108864 exceeds the sample budget of 33554432 entries$"
+    with pytest.raises(ResourceError, match=message):
+        ExperimentGrid(cells, 10, 1, DEFAULT_CONFIG)
+    monkeypatch.setattr(sampler, "MAX_ELEMENTS", 16 * 256)  # read at call time
+    with pytest.raises(ResourceError, match=r"^cell \(gaussian, 16, 1024\): n\*N = 16384 exceeds"):
+        _grid(cells[:2])
 
 
 def test_grid_spec_is_the_trial_ensemble():
