@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds, experiments, statistics
 from .bounds import BoundConfig
-from .errors import ConfigError, ContractError, NumericalError, require_int
+from .errors import U64_MAX, ConfigError, ContractError, NumericalError, require_int
 from .experiments import CellResult, ExperimentGrid, ScalingFit
 from .linalg import DeviationReport, operator_deviation
 from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
@@ -206,10 +206,21 @@ def results_csv_text(results: list[CellResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_value(column: str, text: str) -> int | float:
+    """A results-CSV field: n and N by the positive-integer rule, the seed by the unsigned 64-bit one, floats finite."""
+    if column in ("n", "N", "seed"):
+        value = int(text)
+        require_int(column, value, *((0, U64_MAX) if column == "seed" else ()))
+    elif not math.isfinite(value := float(text)):  # covcon never writes one
+        raise ContractError(f"{value!r} is not finite")
+    return value
+
+
 def read_results_csv(path) -> list[CellResult]:
     """Rebuild per-cell results from a results CSV (repr round-trips floats
-    exactly); each cell's rows must read trial 0, 1, 2, ... in order and every
-    float be finite.  psi_hat is not recoverable from rows and is recorded as 0."""
+    exactly); each cell's rows must read trial 0, 1, 2, ... in order, and a
+    field that does not parse names its line and column.  psi_hat is not
+    recoverable from rows and is recorded as 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -219,15 +230,18 @@ def read_results_csv(path) -> list[CellResult]:
         for row in reader:
             if len(row) != len(_CSV_COLUMNS):
                 raise ContractError(f"results CSV row has {len(row)} fields, expected {len(_CSV_COLUMNS)}")
-            family, n, N = row[0], int(row[1]), int(row[2])
+            named = dict(zip(_CSV_COLUMNS, row))
+            family, trial = named.pop("family"), named.pop("trial")
+            try:
+                for column, text in named.items():
+                    named[column] = _csv_value(column, text)
+            except ValueError as exc:  # ContractError included
+                raise ContractError(f"results CSV line {reader.line_num}, column {column}: {exc}") from None
+            n, N = named["n"], named["N"]
             reports = grouped.setdefault((family, n, N), [])
-            if row[3] != str(len(reports)):
-                raise ContractError(f"results CSV cell ({family}, {n}, {N}): trial {row[3]!r}, expected {len(reports)}")
-            floats = {name: float(v) for name, v in zip(_CSV_FLOATS, row[5:])}
-            for name, value in floats.items():
-                if not math.isfinite(value):  # covcon never writes one
-                    raise ContractError(f"results CSV line {reader.line_num}, column {name}: {value!r} is not finite")
-            reports.append(DeviationReport(n=n, N=N, seed=int(row[4]), **floats))
+            if trial != str(len(reports)):
+                raise ContractError(f"results CSV cell ({family}, {n}, {N}): trial {trial!r}, expected {len(reports)}")
+            reports.append(DeviationReport(**named))
     results = []
     for cell, reports in grouped.items():
         summary = experiments.summarize_reports(tuple(reports), 0.0)

@@ -19,6 +19,10 @@ The row maximum of b s is then s itself, so g and g' come from one exp pass
 per step with no search for the maximum.  g is convex and increasing, so
 Newton's method started to the right of the root converges monotonically;
 each step also brackets the root (tangent root above, chord root below).
+psi over several directions is the largest row's value, so a row leaves the
+solve once its bracket in C lies wholly below another row's lower end (by a
+relative slack far above rounding): its value cannot be the largest, and the
+rows left do the same arithmetic, so the max is unchanged bit for bit.
 Finite-sample estimates are downward biased (they see no tail beyond the
 sample); treat them as lower bounds and report sample sizes.
 
@@ -76,6 +80,8 @@ EXACT_ENUMERATION_BUDGET = 1_000_000
 #: Relative width of the psi_1 bracket at which the root search stops.
 _PSI1_REL_TOL = 1e-13
 _PSI1_MAX_ITER = 110
+#: Relative slack of the psi_1 row drop, far above the ~1e-13 rounding of a bracket.
+_PSI1_DROP_SLACK = 1e-9
 
 #: Truncated power iteration for greedy sparse norms: starting vectors and
 #: power steps per start.
@@ -139,35 +145,6 @@ class SphereNet(Record):
 # --- psi_1 estimation --------------------------------------------------------
 
 
-def _psi1_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise empirical psi_1 values for a nonempty (d, T) array.
-
-    Solves mean_j exp(|a_ij| s) = 2 per row for s = 1/C (see the module
-    docstring).  Returns (values, lo, hi) in C; all-zero rows get value 0
-    with a degenerate bracket.  Raises NumericalError when a value exceeds
-    the float64 range.
-    """
-    a = np.abs(np.asarray(arr, dtype=np.float64))
-    amax = a.max(axis=1)
-    # NaN and inf propagate through max, so this checks every entry.
-    if not np.isfinite(amax).all():
-        raise ContractError("samples contain non-finite values")
-    d, T = a.shape
-    lo = np.zeros(d)
-    hi = np.zeros(d)
-    live = np.flatnonzero(amax)
-    if live.size:
-        scale = amax[live]
-        b = a if live.size == d else a[live]
-        b /= scale[:, None]
-        lower, upper = _psi1_newton(b, math.log(2.0 * T))
-        with np.errstate(over="ignore"):
-            lo[live], hi[live] = scale / upper, scale / lower
-        if not np.isfinite(hi).all():
-            raise NumericalError("the psi_1 constant of the samples overflows float64")
-    return lo + 0.5 * (hi - lo), lo, hi
-
-
 def logsumexp(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log sum_j exp(b_ij s_i) and its derivative in s_i, for
     nonnegative rows b whose maximum is exactly 1 and s > 0.
@@ -183,30 +160,41 @@ def logsumexp(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s + np.log(total), np.einsum("ij,ij->i", b, e) / total
 
 
-def _psi1_newton(b: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket [lower, upper] in s of the root of g(s) = logsumexp(b s) -
-    target, per row of a nonnegative array scaled to row maximum 1.
+def _psi1_max(arr: np.ndarray) -> tuple[float, float, float]:
+    """(value, lo, hi) in C of the largest empirical psi_1 over the rows of a
+    nonempty (d, T) array; all-zero rows have value 0.
 
-    The solve is scale-free: the root lies in [ln 2, target] whatever the
-    sample scale, and the caller maps it to C = amax/s.  Newton starts at
-    s = target, where the largest term alone makes g >= 0.  g is convex and
-    increasing with g(0) = -ln 2, so every tangent root lies at or above the
-    root and the chord root between a point with g <= 0 and one with g >= 0
-    lies at or below it.  A row stops once that bracket is relatively
-    narrower than _PSI1_REL_TOL (the same relative width in C), and is not
-    updated after.  Each step makes one `logsumexp` call, one exp pass over
-    the data for g and g' together.
+    Newton on g(s) = logsumexp(b s) - ln 2T per row (see the module
+    docstring) starts at s = ln 2T, where the largest term alone makes
+    g >= 0; the root lies in [ln 2, ln 2T] whatever the scale.  Each step is
+    one `logsumexp` call over the working rows.  A row leaves them once its
+    bracket is relatively narrower than _PSI1_REL_TOL, or once its upper end
+    in C lies below the best lower end of any row by more than
+    _PSI1_DROP_SLACK, so it cannot hold the max; the rows left do the same
+    arithmetic, so the result is the max of row-wise solves bit for bit.
+    Raises NumericalError when the value exceeds the float64 range.
     """
+    a = np.abs(np.asarray(arr, dtype=np.float64))
+    amax = a.max(axis=1)
+    # NaN and inf propagate through max, so this checks every entry.
+    if not np.isfinite(amax).all():
+        raise ContractError("samples contain non-finite values")
+    live = np.flatnonzero(amax)
+    best = (0.0, 0.0, 0.0)  # (value, lo, hi) of the largest finished row
+    if not live.size:
+        return best
+    scale = amax[live]
+    b = a if live.size == a.shape[0] else a[live]
+    b /= scale[:, None]
+    target = math.log(2.0 * a.shape[1])
     rows = b.shape[0]
     s_left = np.zeros(rows)  # g(s_left) <= 0
     g_left = np.full(rows, -math.log(2.0))
     s_right = np.full(rows, target)  # g(s_right) >= 0; evaluated first
     g_right = np.zeros(rows)
     s = s_right
-    lower = np.zeros(rows)
-    upper = np.zeros(rows)
-    active = np.ones(rows, dtype=bool)
-    for _ in range(_PSI1_MAX_ITER):
+    floor = 0.0  # the largest lower end in C seen on any row
+    for step in range(_PSI1_MAX_ITER):
         lse, slope = logsumexp(b, s)  # slope = g'(s) > 0
         g = lse - target
         right = g >= 0.0
@@ -219,15 +207,28 @@ def _psi1_newton(b: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
         # Both ends are exact bounds in exact arithmetic; rounding near the
         # root can cross them, which closes the bracket.
         chord = np.minimum(chord, tangent)
-        lower = np.where(active, chord, lower)
-        upper = np.where(active, tangent, upper)
-        active &= ~(upper - lower <= _PSI1_REL_TOL * upper)
-        if not active.any():
+        with np.errstate(over="ignore"):
+            lo, hi = scale / tangent, scale / chord
+        floor = max(floor, float(lo.max()))
+        done = (tangent - chord <= _PSI1_REL_TOL * tangent) | (step == _PSI1_MAX_ITER - 1)
+        if done.any():
+            lo_d, hi_d = lo[done], hi[done]
+            if not np.isfinite(hi_d).all():
+                raise NumericalError("the psi_1 constant of the samples overflows float64")
+            value = lo_d + 0.5 * (hi_d - lo_d)
+            i = int(value.argmax())
+            if value[i] > best[0]:
+                best = (float(value[i]), float(lo_d[i]), float(hi_d[i]))
+        keep = ~done & ~(hi < floor * (1.0 - _PSI1_DROP_SLACK))
+        if not keep.any():
             break
         # Newton steps from the right; a tangent from a point left of the
         # root can land beyond the known right end, so bisect instead.
         s = np.where(tangent < s_right, tangent, 0.5 * (chord + tangent))
-    return lower, upper
+        if not keep.all():
+            b, scale, s = b[keep], scale[keep], s[keep]
+            s_left, g_left, s_right, g_right = s_left[keep], g_left[keep], s_right[keep], g_right[keep]
+    return best
 
 
 def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:
@@ -235,12 +236,8 @@ def psi1_estimate(samples: np.ndarray) -> Psi1Estimate:
     a = np.asarray(samples, dtype=np.float64).ravel()
     if a.size == 0:
         raise ContractError("psi1_estimate requires a nonempty sample")
-    value, lo, hi = _psi1_rows(a[None, :])
-    return Psi1Estimate(
-        value=float(value[0]),
-        sample_size=int(a.size),
-        bracket=(float(lo[0]), float(hi[0])),
-    )
+    value, lo, hi = _psi1_max(a[None, :])
+    return Psi1Estimate(value=value, sample_size=int(a.size), bracket=(lo, hi))
 
 
 def probe_directions(n: int, count: int, seed: int) -> np.ndarray:
@@ -260,8 +257,7 @@ def psi1_ensemble(A: SampleMatrix, directions: int) -> float:
     require_int("directions", directions, 0)
     probes = np.vstack([np.eye(A.n), probe_directions(A.n, directions, A.seed)])
     proj = probes @ A.entries[:, :PSI_SAMPLE_COLUMNS]
-    values, _, _ = _psi1_rows(proj)
-    return float(values.max())
+    return _psi1_max(proj)[0]
 
 
 # --- sparse operator norms ---------------------------------------------------

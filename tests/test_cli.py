@@ -525,21 +525,28 @@ def test_plot_refuses_constants_whose_envelopes_overflow(small_run, tmp_path, ca
 
 
 def test_fit_and_plot_refuse_a_non_finite_csv_value(small_run, tmp_path, capsys):
-    # covcon never writes a non-finite value, so a results CSV holding one
-    # was edited; line 5 is the fourth data row.
+    # covcon never writes a non-finite value, a non-integer n or a seed
+    # outside [0, 2^64 - 1], so a results CSV holding one was edited; line 5
+    # is the fourth data row.
     header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
-    fields = rows[3].split(",")
-    fields[CSV_HEADER.split(",").index("deviation")] = "inf"
-    rows[3] = ",".join(fields)
-    path, out = tmp_path / "inf.csv", tmp_path / "p.svg"
-    path.write_text(header + "".join(rows))
-    message = "results CSV line 5, column deviation: inf is not finite"
-    with pytest.raises(ContractError, match=f"^{message}$"):
-        read_results_csv(path)
-    for argv in (["fit", "--results", str(path)], ["plot", "--results", str(path), "--out", str(out)]):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not out.exists()
+    cases = {
+        ("deviation", "inf"): "inf is not finite",
+        ("n", "x"): "invalid literal for int() with base 10: 'x'",
+        ("seed", "-3"): "seed must be an unsigned 64-bit integer, got -3",
+        ("lambda_max", "abc"): "could not convert string to float: 'abc'",
+    }
+    for (column, text), reason in cases.items():
+        fields = rows[3].split(",")
+        fields[CSV_HEADER.split(",").index(column)] = text
+        path, out = tmp_path / f"{column}.csv", tmp_path / "p.svg"
+        path.write_text(header + "".join(rows[:3]) + ",".join(fields) + "".join(rows[4:]))
+        message = f"results CSV line 5, column {column}: {reason}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            read_results_csv(path)
+        for argv in (["fit", "--results", str(path)], ["plot", "--results", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 def test_render_plot_svg_is_pure(small_run):

@@ -96,8 +96,9 @@ def test_psi1_beyond_the_float_range_raises():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflows"):
             psi1_estimate(np.array([1.7e308, 1.7e308]))
-        with pytest.raises(NumericalError):
-            statistics._psi1_rows(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]))
+        for rows in ([[1.0, 2.0], [1.7e308, 1.7e308]], [[1.7e308, 1.7e308], [1.0, 2.0]]):
+            with pytest.raises(NumericalError):
+                statistics._psi1_max(np.array(rows))
 
 
 def _unit_max_rows():
@@ -141,7 +142,7 @@ def test_psi1_rejects_non_finite(bad):
     rows = np.ones((3, 8))
     rows[2, 5] = bad
     with pytest.raises(ContractError, match="non-finite"):
-        statistics._psi1_rows(rows)
+        statistics._psi1_max(rows)
 
 
 def test_gaussian_psi1_reference_value():
@@ -183,12 +184,15 @@ def test_psi1_newton_matches_bisection(family, monkeypatch):
     A = sample_ensemble(EnsembleSpec(family, 16, 8192, 21))
     probes = np.vstack([np.eye(16), probe_directions(16, 16, A.seed)])
     reference = _psi1_bisection_rows(probes @ A.entries)
-    calls = []
+    rows = []
     lse = statistics.logsumexp
-    monkeypatch.setattr(statistics, "logsumexp", lambda *a, **k: calls.append(1) or lse(*a, **k))
+    monkeypatch.setattr(statistics, "logsumexp", lambda b, s: rows.append(b.shape[0]) or lse(b, s))
     value = psi1_ensemble(A, 16)
-    # One log-sum-exp per Newton step, against 46 bisection steps before.
-    assert len(calls) <= 10
+    # One log-sum-exp per Newton step, against 46 bisection steps before;
+    # rows that cannot hold the max leave early, where all 32 rows through
+    # every step read 192-224.
+    assert len(rows) <= 10
+    assert sum(rows) <= 128
     assert math.isclose(value, float(reference.max()), rel_tol=1e-12)
     for row, ref in zip(probes @ A.entries, reference):
         est = psi1_estimate(row)
@@ -197,6 +201,20 @@ def test_psi1_newton_matches_bisection(family, monkeypatch):
         # The bracket holds up to the rounding of g near ln(2T), ~1e-15.
         assert lo * (1.0 - 1e-14) <= ref <= hi * (1.0 + 1e-14)
         assert hi - lo <= 1e-13 * max(1.0, hi)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "euclidean_ball", "exponential_product"])
+@pytest.mark.parametrize("shape", [(16, 256), (32, 1024), (16, 8192), (64, 4096)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_psi1_ensemble_is_the_max_of_its_rows(family, shape):
+    # Rows whose bracket lies below another row's leave the solve early; the
+    # max must still be the row-wise solve's max, bit for bit.
+    A = sample_ensemble(EnsembleSpec(family, *shape, 31))
+    probes = np.vstack([np.eye(A.n), probe_directions(A.n, 16, A.seed)])
+    rows = probes @ A.entries
+    assert psi1_ensemble(A, 16) == max(psi1_estimate(row).value for row in rows)
+    # With no probes the rows are A's own: a tie and an all-zero row.
+    tie = SampleMatrix(entries=np.vstack([rows[:3], rows[1:2], np.zeros((1, A.N))]))
+    assert psi1_ensemble(tie, 0) == max(psi1_estimate(row).value for row in tie.entries)
 
 
 def test_probe_directions_unit_and_deterministic():
