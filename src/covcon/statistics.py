@@ -33,9 +33,9 @@ tails (see rng).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -283,28 +283,48 @@ def _lambda_max_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, t8**0.125 * scale
 
 
-#: Relative slack of the pruning test, far above the rounding of the bounds
-#: and of eigvalsh.
+#: Relative slack of the pruning test, far above the rounding of the bounds,
+#: of eigvalsh and of a block of the screening Gram against the support's own.
 _PRUNE_SLACK = 1e-9
 
-#: Entries per block (32 MiB of float64) of the exact search, the greedy net pass and the probe.
+#: Entries per block (32 MiB of float64) of the exact search's gather (n * m a support), the greedy net pass and the probe.
 _BLOCK_ENTRIES = 1 << 22
 
 
+def _combinations(N: int, m: int, chunk: int) -> Iterator[np.ndarray]:
+    """combinations(range(N), m) as (chunk, m) arrays: rank r is the c with
+    sum_k C(N-1-c_k, m-k) = C(N, m) - 1 - r (the combinatorial number system),
+    so pass k takes the smallest c_k whose binomial fits in what is left.
+    Row k spans c_k = k, ..., N-m+k only, so no entry exceeds C(N, m)."""
+    table = np.array([[math.comb(d, m - k) for d in range(m - 1 - k, N - k)] for k in range(m)], dtype=np.int64)
+    total = math.comb(N, m)
+    for r0 in range(0, total, chunk):
+        rest = total - 1 - np.arange(r0, min(r0 + chunk, total), dtype=np.int64)
+        out = np.empty((len(rest), m), dtype=np.intp)
+        for k, row in enumerate(table):
+            i = np.searchsorted(row, rest, side="right") - 1
+            rest -= row[i]
+            out[:, k] = N - m + k - i
+        yield out
+
+
 def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]:
-    """Enumerate all m-column supports; return (A_m, optimal support).
+    """Enumerate all m-column supports (2 <= m < N); return (A_m, optimal support).
 
     The squared norm on a support is lambda_max of its Gram matrix M.  Per
     chunk of supports in lexicographic order, `_lambda_max_bounds` brackets
     every lambda_max, and eigvalsh runs only on the supports whose upper
     bound reaches the floor: the larger of the best value so far and the
-    chunk's largest lower bound.  A pruned support lies strictly below the
+    chunk's largest lower bound.  For m <= n the bounds are taken on the
+    principal blocks of one G = e^T e (the budget caps N at 1,414, so 16 MB,
+    unless m = N - 1 <= n), which differ from each M only in the order of
+    the same rounded products.  A pruned support lies strictly below the
     floor, so it can neither hold nor tie the maximum, and the value and
     certificate (the first support in lexicographic order that attains the
     maximum) are those of a full scan: eigvalsh sees the same matrices, only
     fewer.
     """
-    N = A.N
+    n, N = A.n, A.N
     total = math.comb(N, m)
     if total > EXACT_ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
@@ -312,23 +332,24 @@ def _sparse_norm_exact(A: SampleMatrix, m: int) -> tuple[float, tuple[int, ...]]
             f"{EXACT_ENUMERATION_BUDGET}; use mode='greedy'"
         )
     e = A.entries
-    combos = combinations(range(N), m)
+
+    def smaller_side_gram(idx: np.ndarray) -> np.ndarray:
+        sub = np.ascontiguousarray(e[:, idx.ravel()].reshape(n, len(idx), m).transpose(1, 0, 2))
+        return sub.transpose(0, 2, 1) @ sub if m <= n else sub @ sub.transpose(0, 2, 1)
+
+    G = e.T @ e if m <= n else None
+    # A block of G and M may each round underflowing products by n * 2^-1074 an entry.
+    tiny = math.ldexp(m * n, -1070)
     best = -np.inf
     best_support: tuple[int, ...] = ()
-    chunk_size = max(1, min(4096, _BLOCK_ENTRIES // (A.n * m)))
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(combos, chunk_size)), dtype=np.intp).reshape(-1, m)
-        if not idx.size:
-            break
-        sub = np.ascontiguousarray(e[:, idx.ravel()].reshape(A.n, len(idx), m).transpose(1, 0, 2))
-        # The smaller-side Gram; its top eigenvalue is the squared norm.
-        gram = sub.transpose(0, 2, 1) @ sub if m <= A.n else sub @ sub.transpose(0, 2, 1)
-        lower, upper = _lambda_max_bounds(gram)
+    for idx in _combinations(N, m, max(1, min(4096, _BLOCK_ENTRIES // (n * m)))):
+        screen = G.take(idx[:, :, None] * N + idx[:, None, :]) if m <= n else smaller_side_gram(idx)
+        lower, upper = _lambda_max_bounds(screen)
         floor = max(best, float(lower.max()))
-        keep = np.flatnonzero(upper >= floor * (1.0 - _PRUNE_SLACK))
+        keep = np.flatnonzero(upper >= floor * (1.0 - _PRUNE_SLACK) - tiny)
         if not keep.size:
             continue
-        vals = np.linalg.eigvalsh(gram[keep])[:, -1]
+        vals = np.linalg.eigvalsh(smaller_side_gram(idx[keep]) if m <= n else screen[keep])[:, -1]
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])

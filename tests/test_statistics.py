@@ -321,6 +321,10 @@ def _degenerate_matrices():
         "all_zero": np.zeros((6, 16)),
         "all_one": np.ones((6, 16)),
         "subnormal_gram": base * 1e-160,
+        # Products at the last bits of the subnormal range.
+        "subnormal_floor": base * 2.0**-537,
+        # Blocks that underflow next to blocks that do not.
+        "mixed_scale": np.hstack([base[:, :8], base[:, 8:] * 2.0**-540]),
         "large": base * 1e150,
     }
 
@@ -349,6 +353,31 @@ def test_pruned_exact_search_equals_full_scan_degenerate(name):
     e = _degenerate_matrices()[name]
     for m in range(2, e.shape[1]):
         assert statistics._sparse_norm_exact(SampleMatrix(e), m) == _full_scan(e, m), m
+
+
+@pytest.mark.parametrize("N,m", [(16, 8), (14, 7), (10, 1), (10, 9), (6, 6)])
+def test_supports_by_rank_are_combinations_order(N, m):
+    ref = np.array(list(combinations(range(N), m)), dtype=np.intp)
+    for chunk in (1, 7, 4096):
+        assert np.array_equal(np.vstack(list(statistics._combinations(N, m, chunk))), ref), chunk
+    if (N, m) == (16, 8):
+        # Ranks 4,090-4,101 straddle the search's first chunk boundary.
+        blocks = statistics._combinations(N, m, 4096)
+        straddle = np.vstack([next(blocks)[4090:], next(blocks)[:6]])
+        assert np.array_equal(straddle, ref[4090:4102])
+
+
+def test_exact_budget_refuses_before_any_gram():
+    # binom(2000, 2) = 1,999,000 supports; the 2,000 x 2,000 Gram would be 32 MB.
+    A = sample_ensemble(EnsembleSpec("gaussian", 2, 2000, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError):
+            sparse_norm(A, 2, "exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lambda_max_bounds_bracket_eigvalsh():
