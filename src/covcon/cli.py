@@ -28,10 +28,11 @@ from . import bounds, experiments, statistics
 from .bounds import BoundConfig
 from .errors import U64_MAX, ConfigError, ContractError, NumericalError, require_int
 from .experiments import CellResult, ExperimentGrid, ScalingFit
-from .linalg import DeviationReport, operator_deviation
+from .linalg import DeviationReport, boundedness_ratio, operator_deviation
 from .sampler import EnsembleSpec, SampleMatrix, parse_family_token, sample_ensemble
 
 __all__ = [
+    "CSV_HEADER",
     "RunConfig",
     "ResultBundle",
     "parse_config",
@@ -44,10 +45,10 @@ __all__ = [
     "entry",
 ]
 
-CSV_HEADER = "family,n,N,trial,seed,lambda_min,lambda_max,deviation,max_col_norm,boundedness_ratio"
-_CSV_COLUMNS = CSV_HEADER.split(",")
-#: The DeviationReport float fields, written with repr after the seed column.
-_CSV_FLOATS = _CSV_COLUMNS[5:]
+# A results CSV has one row per trial: its cell, its index, then the DeviationReport fields after n and N.
+_REPORT_FIELDS = {f.name: f for f in fields(DeviationReport)}
+_CSV_COLUMNS = ["family", "n", "N", "trial", *list(_REPORT_FIELDS)[2:]]
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 # Config sections: [grid] is ExperimentGrid without its BoundConfig, which is
 # [bounds]; [output] (below RunConfig) is RunConfig without its grid.
@@ -196,31 +197,34 @@ def _write_text(path, text: str) -> None:
 
 
 def results_csv_text(results: list[CellResult]) -> str:
-    """One row per trial in canonical (cell, trial) order; floats via repr."""
+    """One row per trial in canonical (cell, trial) order; None as an empty field, ints via str, floats via repr."""
     lines = [CSV_HEADER]
     for res in results:
-        family, n, N = res.cell
         for trial, r in enumerate(res.reports):
-            floats = (repr(float(getattr(r, name))) for name in _CSV_FLOATS)
-            lines.append(",".join([family, str(n), str(N), str(trial), str(r.seed), *floats]))
+            values = (getattr(r, name) for name in _CSV_COLUMNS[4:])
+            texts = ("" if v is None else str(v) if isinstance(v, int) else repr(float(v)) for v in values)
+            lines.append(",".join([*map(str, res.cell), str(trial), *texts]))
     return "\n".join(lines) + "\n"
 
 
-def _csv_value(column: str, text: str) -> int | float:
-    """A results-CSV field: n and N by the positive-integer rule, the seed by the unsigned 64-bit one, floats finite."""
-    if column in ("n", "N", "seed"):
+def _csv_value(f, text: str) -> int | float | None:
+    """A results-CSV field read as DeviationReport field `f`: empty as None where that is the default,
+    an int by the positive-integer rule (the seed by the unsigned 64-bit one), a float finite."""
+    if text == "" and f.default is None:
+        return None
+    if f.type == "int":
         value = int(text)
-        require_int(column, value, *((0, U64_MAX) if column == "seed" else ()))
+        require_int(f.name, value, *((0, U64_MAX) if f.name == "seed" else ()))
     elif not math.isfinite(value := float(text)):  # covcon never writes one
         raise ContractError(f"{value!r} is not finite")
     return value
 
 
 def read_results_csv(path) -> list[CellResult]:
-    """Rebuild per-cell results from a results CSV (repr round-trips floats
-    exactly); each cell's rows must read trial 0, 1, 2, ... in order, and a
-    field that does not parse names its line and column.  psi_hat is not
-    recoverable from rows and is recorded as 0."""
+    """Rebuild per-cell results from a results CSV: read_results_csv(results_csv_text(r)) == r, since repr
+    round-trips floats.  Each cell's rows must read trial 0, 1, 2, ... in order, and a field that does not
+    parse, a family EnsembleSpec refuses, a boundedness_ratio other than linalg.boundedness_ratio(n, N,
+    max_col_norm), or a psi_hat off trial 0 (or missing there) names its line and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -234,19 +238,24 @@ def read_results_csv(path) -> list[CellResult]:
             family, trial = named.pop("family"), named.pop("trial")
             try:
                 for column, text in named.items():
-                    named[column] = _csv_value(column, text)
+                    named[column] = _csv_value(_REPORT_FIELDS[column], text)
+                r = DeviationReport(**named)
+                column = "family"
+                name, p = parse_family_token(family)
+                EnsembleSpec(family=name, n=r.n, N=r.N, seed=r.seed, p=p)
+                column = "boundedness_ratio"
+                if r.boundedness_ratio != (k := float(boundedness_ratio(r.n, r.N, r.max_col_norm))):
+                    raise ContractError(f"{r.boundedness_ratio!r} is not boundedness_ratio(n, N, max_col_norm) = {k!r}")
+                column = "psi_hat"
+                if (r.psi_hat is None) == (trial == "0"):
+                    raise ContractError("trial 0 has no value" if trial == "0" else f"trial {trial} has one; only trial 0 does")
             except ValueError as exc:  # ContractError included
                 raise ContractError(f"results CSV line {reader.line_num}, column {column}: {exc}") from None
-            n, N = named["n"], named["N"]
-            reports = grouped.setdefault((family, n, N), [])
+            reports = grouped.setdefault((family, r.n, r.N), [])
             if trial != str(len(reports)):
-                raise ContractError(f"results CSV cell ({family}, {n}, {N}): trial {trial!r}, expected {len(reports)}")
-            reports.append(DeviationReport(**named))
-    results = []
-    for cell, reports in grouped.items():
-        summary = experiments.summarize_reports(tuple(reports), 0.0)
-        results.append(CellResult(cell=cell, reports=tuple(reports), summary=summary))
-    return results
+                raise ContractError(f"results CSV cell ({family}, {r.n}, {r.N}): trial {trial!r}, expected {len(reports)}")
+            reports.append(r)
+    return [CellResult(cell, tuple(rs), experiments.summarize_reports(tuple(rs))) for cell, rs in grouped.items()]
 
 
 def bounds_check_json(results: list[CellResult], cfg: BoundConfig) -> str:

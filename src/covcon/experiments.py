@@ -185,32 +185,31 @@ class Remark2Check(Record):
     passed: bool
 
 
-def _trial_report(ci: int, ti: int, spec: EnsembleSpec) -> tuple[DeviationReport, float | None]:
+def _trial_report(ci: int, ti: int, spec: EnsembleSpec) -> DeviationReport:
     """One full trial: sample the ensemble and measure its spectral deviation.
-    Trial 0 of each cell also measures the cell's empirical psi_1 constant,
+    Trial 0 of each cell also records the cell's empirical psi_1 constant,
     `statistics.psi1_ensemble` of the same matrix with probes seeded by the
-    trial's seed (it reads its own column budget); other trials return None.
+    trial's seed (it reads its own column budget), as the report's psi_hat.
 
     A failure is re-raised as its nearest base error class, naming the cell
     and trial, since a subclass may take other constructor arguments."""
     try:
         A = sample_ensemble(spec)
-        psi_hat = statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS) if ti == 0 else None
-        return operator_deviation(A), psi_hat
+        report = operator_deviation(A)
+        return replace(report, psi_hat=statistics.psi1_ensemble(A, PSI_PROBE_DIRECTIONS)) if ti == 0 else report
     except (ContractError, RuntimeError) as exc:
         base = next(cls for cls in (ContractError, NumericalError, RuntimeError) if isinstance(exc, cls))
         raise base(f"cell {ci} trial {ti}: {exc}") from exc
 
 
-def summarize_reports(reports: tuple[DeviationReport, ...], psi_hat: float) -> CellSummary:
-    """Recompute the summary aggregates from the trial reports (psi_hat is
-    measured from the trial-0 matrix and passed through)."""
+def summarize_reports(reports: tuple[DeviationReport, ...]) -> CellSummary:
+    """Recompute the summary aggregates from the trial reports; psi_hat is trial 0's."""
     devs = np.array([r.deviation for r in reports])
     return CellSummary(
         mean_deviation=float(devs.mean()),
         median_deviation=float(np.median(devs)),
         max_deviation=float(devs.max()),
-        psi_hat=psi_hat,
+        psi_hat=reports[0].psi_hat,
         k_hat=max(r.boundedness_ratio for r in reports),
     )
 
@@ -219,8 +218,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
     """Run every (cell, trial) job in one flat thread pool (the heavy calls
     release the GIL), or serially on one worker; results in cell order.
     Each trial's seed comes from its cell and trial index, and reports are
-    ordered by trial index, so the result is independent of worker count.
-    psi_hat is the one measured by each cell's trial-0 job."""
+    ordered by trial index, so the result is independent of worker count."""
     require_int("workers", workers)
     T = grid.trials_per_cell
     jobs = [
@@ -235,13 +233,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CellResult]:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_trial_report, *zip(*jobs)))
-    results = []
-    for ci, cell in enumerate(grid.cells):
-        cell_jobs = flat[ci * T : (ci + 1) * T]
-        reports = tuple(rep for rep, _ in cell_jobs)
-        summary = summarize_reports(reports, cell_jobs[0][1])
-        results.append(CellResult(cell=cell, reports=reports, summary=summary))
-    return results
+    per_cell = [tuple(flat[ci * T : (ci + 1) * T]) for ci in range(len(grid.cells))]
+    return [CellResult(cell=cell, reports=r, summary=summarize_reports(r)) for cell, r in zip(grid.cells, per_cell)]
 
 
 def scaling_fit(results: list[CellResult]) -> ScalingFit:

@@ -59,17 +59,20 @@ class DeviationReport(Record):
 
     lambda_min / lambda_max are eigenvalues of the *unnormalized* A A^T;
     deviation is ||A A^T / N - I||; boundedness_ratio is
-    max_i |X_i| / (sqrt(n) * max{1, (N/n)^{1/4}}).
+    max_i |X_i| / (sqrt(n) * max{1, (N/n)^{1/4}}); psi_hat, the cell's empirical
+    psi_1 constant, is set by run_grid on trial 0 only.  The fields after n and N
+    are the results-CSV columns, in order.
     """
 
     n: int
     N: int
+    seed: int
     lambda_min: float
     lambda_max: float
     deviation: float
     max_col_norm: float
     boundedness_ratio: float
-    seed: int
+    psi_hat: float | None = None
 
 
 def gram_covariance(A: SampleMatrix) -> np.ndarray:

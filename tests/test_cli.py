@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env, run_cli
-from covcon import bounds, cli, experiments
+from covcon import bounds, cli, experiments, linalg
 from covcon.bounds import DEFAULT_CONFIG
 from covcon.cli import (
     CSV_HEADER,
@@ -220,6 +220,16 @@ def test_deviation_identity_oracle():
     assert doc["lambda_min"] == doc["lambda_max"] == 2.0
 
 
+def test_trial_zero_report_carries_psi_hat_and_validates():
+    # psi_hat is set on each cell's trial 0 only; Record omits it elsewhere.
+    (res,) = experiments.run_grid(ExperimentGrid((("gaussian", 3, 20),), 2, 9, DEFAULT_CONFIG))
+    first, second = (r.to_json_dict() for r in res.reports)
+    for doc in (first, second):
+        _validate(doc, "deviation_report.json")
+    assert first["psi_hat"] == res.summary.psi_hat > 0.0
+    assert "psi_hat" not in second
+
+
 def test_deviation_row_oracle():
     # Entries (2, 0) in one row: AA^T/N = 2, deviation 1.
     doc = operator_deviation(SampleMatrix(entries=np.array([[2.0, 0.0]]))).to_json_dict()
@@ -417,10 +427,26 @@ def test_bundle_respects_emit_subset(tmp_path):
     assert not (out_dir / "plot.svg").exists()
 
 
-def test_read_results_round_trips(small_run):
-    results = read_results_csv(small_run["dir"] / "results.csv")
-    assert results_csv_text(results) == (small_run["dir"] / "results.csv").read_text()
+def test_read_results_round_trips(small_run, tmp_path):
+    path = small_run["dir"] / "results.csv"
+    results = read_results_csv(path)
+    assert results_csv_text(results) == path.read_text()
     assert [res.cell for res in results] == list(SMALL_CELLS)
+    # psi_hat travels in the CSV, so the rows rebuild the run and its checks.
+    assert results == experiments.run_grid(small_run["config"].grid)
+    assert cli.bounds_check_json(results, DEFAULT_CONFIG) == (small_run["dir"] / "bounds_check.json").read_text()
+    # psi_hat is trial 0's alone: missing there, or on a later trial, is refused.
+    header, *rows = path.read_text().splitlines(keepends=True)
+    psi = rows[0].rsplit(",", 1)[1]
+    bad = tmp_path / "bad.csv"
+    cases = [
+        ([rows[0].rsplit(",", 1)[0] + ",\n", *rows[1:]], "line 2, column psi_hat: trial 0 has no value"),
+        ([rows[0], rows[1].rstrip("\n") + psi, *rows[2:]], "line 3, column psi_hat: trial 1 has one; only trial 0 does"),
+    ]
+    for body, message in cases:
+        bad.write_text(header + "".join(body))
+        with pytest.raises(ContractError, match=f"^{re.escape('results CSV ' + message)}$"):
+            read_results_csv(bad)
 
 
 def test_fit_command_matches_library(small_run):
@@ -437,9 +463,10 @@ def test_fit_refuses_a_bad_header_or_row_length(small_run, tmp_path):
     header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
     path = tmp_path / "bad.csv"
     short_row = rows[0].rsplit(",", 1)[0] + "\n"
+    width = len(CSV_HEADER.split(","))
     cases = [
         ("family,n,N\n" + "".join(rows), "unexpected results CSV header: ['family', 'n', 'N']"),
-        (header + short_row + "".join(rows[1:]), "results CSV row has 9 fields, expected 10"),
+        (header + short_row + "".join(rows[1:]), f"results CSV row has {width - 1} fields, expected {width}"),
     ]
     for text, message in cases:
         path.write_text(text)
@@ -525,20 +552,28 @@ def test_plot_refuses_constants_whose_envelopes_overflow(small_run, tmp_path, ca
 
 
 def test_fit_and_plot_refuse_a_non_finite_csv_value(small_run, tmp_path, capsys):
-    # covcon never writes a non-finite value, a non-integer n or a seed
-    # outside [0, 2^64 - 1], so a results CSV holding one was edited; line 5
-    # is the fourth data row.
+    # covcon never writes a non-finite value, a non-integer n, a seed
+    # outside [0, 2^64 - 1], a family EnsembleSpec refuses or a
+    # boundedness_ratio other than the one of its row's n, N and
+    # max_col_norm, so a results CSV holding one was edited; line 5 is the
+    # fourth data row.
     header, *rows = (small_run["dir"] / "results.csv").read_text().splitlines(keepends=True)
+    columns = CSV_HEADER.split(",")
+    max_col_norm = float(rows[3].split(",")[columns.index("max_col_norm")])
+    k = repr(float(linalg.boundedness_ratio(4, 16, max_col_norm)))
     cases = {
         ("deviation", "inf"): "inf is not finite",
         ("n", "x"): "invalid literal for int() with base 10: 'x'",
         ("seed", "-3"): "seed must be an unsigned 64-bit integer, got -3",
         ("lambda_max", "abc"): "could not convert string to float: 'abc'",
+        ("family", "no_such_family"): "unknown family token 'no_such_family'",
+        ("family", "lp_ball(0.5)"): "lp_ball requires p >= 1, got 0.5",
+        ("boundedness_ratio", "0.5"): f"0.5 is not boundedness_ratio(n, N, max_col_norm) = {k}",
     }
-    for (column, text), reason in cases.items():
+    for i, ((column, text), reason) in enumerate(cases.items()):
         fields = rows[3].split(",")
-        fields[CSV_HEADER.split(",").index(column)] = text
-        path, out = tmp_path / f"{column}.csv", tmp_path / "p.svg"
+        fields[columns.index(column)] = text
+        path, out = tmp_path / f"{i}.csv", tmp_path / "p.svg"
         path.write_text(header + "".join(rows[:3]) + ",".join(fields) + "".join(rows[4:]))
         message = f"results CSV line 5, column {column}: {reason}"
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):

@@ -272,7 +272,7 @@ def test_trial_failure_names_cell_and_trial(monkeypatch, error, base):
 def test_summary_recomputable_from_reports():
     grid = _grid([("gaussian", 6, 96)], trials=15)
     res = run_grid(grid)[0]
-    again = summarize_reports(res.reports, res.summary.psi_hat)
+    again = summarize_reports(res.reports)
     assert again == res.summary
     devs = sorted(r.deviation for r in res.reports)
     assert res.summary.max_deviation == devs[-1]

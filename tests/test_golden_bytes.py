@@ -2,9 +2,11 @@
 
 The bundle texts of a small experiment and the JSON documents of each result
 record are hashed in-process.  A change to how records are written must
-leave every hash alone.  A change that moves a trial's output on purpose
-updates these hashes together with the refrozen constants in
-bounds.DEFAULT_CONFIG, and records old -> new in CHANGES.md.
+leave every hash alone.  A format change that moves no trial value, such as
+a new per-trial field or CSV column, updates only the hashes it moves, with
+no recalibration.  A change that moves a trial's output on purpose updates
+these hashes together with the refrozen constants in bounds.DEFAULT_CONFIG.
+Either records old -> new in CHANGES.md.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 
 from covcon import bounds, experiments, statistics
 from covcon.bounds import DEFAULT_CONFIG
-from covcon.cli import RunConfig, _dump_json, run_bundle
+from covcon.cli import RunConfig, _dump_json, bounds_check_json, read_results_csv, run_bundle
 from covcon.experiments import ExperimentGrid
 from covcon.linalg import operator_deviation
 from covcon.sampler import EnsembleSpec, sample_ensemble
@@ -29,7 +31,7 @@ GRID = ExperimentGrid(
 
 BUNDLE_SHA256 = {
     "config_text": "8d60266c43b6ae0385a713d5a647a263f5d58d78b1b8ef19bd937b309ed90cdd",
-    "csv_text": "a0e02ae35e1bd32b3fe3a4bb19c0fa54f6a843e7f9deb7281f1bfa8e7774d0f2",
+    "csv_text": "cfa4cd5eb755317cc7e45bfebca7237f7b3a0e6e16a88d4dda0a97d2953309dd",
     "scaling_text": "ef85ac12f0ca6aae7678c7dd287a0108d68a7415b031895ff67579441d12feef",
     "bounds_check_text": "430529fed76fbe8b397f959ae0e8a9308e4ef1474667567f63f999763305c323",
     "svg_text": "cb176222aed58c7aba3703b61421aa17a9fb12196f6d5c7709b2dfb4b7d29927",
@@ -42,7 +44,7 @@ RECORD_SHA256 = {
     "net": "52ccd2801ce0b81324bcddaefa6e997c82b559de537171b666f933dded591c2d",
     "bounds": "95961a25ad3a5b62777f9fa1338c86015e95a922a8bdd0115783b65afd2c6c26",
     "truncation_split": "c9d89a30e21371583970361a079931c6bdf128de7b5e0e79689f85dfc9f5e2fd",
-    "cell_result": "0b40498592a391094532977221563c9f37b87761e4116db164ad396dec968f48",
+    "cell_result": "88f6f793de6353612d14b01dd44e713cd87345d9f535e966a5dd2762deb7eb82",
     "remark2": "34b6a6c369d661c5c76d52498f102639a1b0ffdf82742f2412e1a2dfa8308716",
 }
 
@@ -82,6 +84,18 @@ def test_bundle_bytes_are_pinned():
     bundle = run_bundle(config, workers=1)
     got = {name: _sha(getattr(bundle, name)) for name in BUNDLE_SHA256}
     assert got == BUNDLE_SHA256
+
+
+def test_bundle_csv_rebuilds_the_run(tmp_path):
+    # psi_hat travels in the CSV, so its rows rebuild the run and its
+    # bounds_check.json, the wide cell's Remark 2 checks included.
+    config = RunConfig(grid=GRID, output_dir="out", emit=frozenset({"csv", "json", "svg"}), parallelism=1)
+    bundle = run_bundle(config, workers=1)
+    path = tmp_path / "results.csv"
+    path.write_text(bundle.csv_text)
+    results = read_results_csv(path)
+    assert results == experiments.run_grid(GRID)
+    assert bounds_check_json(results, DEFAULT_CONFIG) == bundle.bounds_check_text
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_SHA256))
